@@ -18,16 +18,15 @@ Module map:
 """
 
 from .constants import BOLTZMANN, HBAR, NUCLEON_MASS, FundamentalConstants
-from .errors import InstabilityError, NormLossError, ResolutionError
+from .errors import InstabilityError, ResolutionError
 from .model import (DerivedConstants, ModelParams, UnitSystem,
                     center_of_mass_params, derive_constants, scale_parameters,
                     uncertainty_product)
 from .gaussian import (GaussianState, SpreadTriple, a_closed_form,
                        gaussian_energy, phase_constants, sigma_q_of_t,
                        spreads, stationary_covariance)
-from .grid import (Grid, GridState, MomentRecord, NoiseStream,
-                   build_gaussian, build_superposition, evolve_trajectory,
-                   linear_step, nonlinear_step, observables)
+from .grid import (Grid, GridState, NoiseStream, build_gaussian,
+                   build_superposition, evolve_trajectory)
 from .master import (CharCoefficients, coeff_flow, evolve_characteristic,
                      green_factors, position_density)
 from .localization import (collapse_rate_bound, drift_prediction, sigma_O_sq,
@@ -39,15 +38,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOLTZMANN", "HBAR", "NUCLEON_MASS", "FundamentalConstants",
-    "InstabilityError", "NormLossError", "ResolutionError",
+    "InstabilityError", "ResolutionError",
     "DerivedConstants", "ModelParams", "UnitSystem",
     "center_of_mass_params", "derive_constants", "scale_parameters",
     "uncertainty_product",
     "GaussianState", "SpreadTriple", "a_closed_form", "gaussian_energy",
     "phase_constants", "sigma_q_of_t", "spreads", "stationary_covariance",
-    "Grid", "GridState", "MomentRecord", "NoiseStream", "build_gaussian",
-    "build_superposition", "evolve_trajectory", "linear_step",
-    "nonlinear_step", "observables",
+    "Grid", "GridState", "NoiseStream", "build_gaussian",
+    "build_superposition", "evolve_trajectory",
     "CharCoefficients", "coeff_flow", "evolve_characteristic",
     "green_factors", "position_density",
     "collapse_rate_bound", "drift_prediction", "sigma_O_sq",

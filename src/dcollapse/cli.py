@@ -31,7 +31,7 @@ from . import localization as loc
 from . import master as me
 from .constants import FundamentalConstants
 from .ensemble import ExperimentConfig, _write_csv, compare_to_master, run_ensemble
-from .errors import InstabilityError, NormLossError, ResolutionError
+from .errors import InstabilityError, ResolutionError
 from .grid import RECORD_FIELDS, NoiseStream, evolve_trajectory
 from .model import derive_constants, scale_parameters, uncertainty_product
 
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InstabilityError, NormLossError, ResolutionError) as exc:
+    except (InstabilityError, ResolutionError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -67,6 +67,19 @@ class ExperimentConfig:
     batch_size: int = 128
     n_workers: int = 1
 
+    def __post_init__(self):
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("n_steps", "record_every", "n_trajectories",
+                     "batch_size", "n_workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if len(self.weights) != len(self.centers):
+            raise ValueError("weights and centers differ in length")
+        if self.kbars and len(self.kbars) != len(self.centers):
+            raise ValueError("kbars and centers differ in length")
+
     def params(self) -> ModelParams:
         hb = self.hbar
         if hb is None:

@@ -9,8 +9,4 @@ class InstabilityError(RuntimeError):
     """A time step produced growth incompatible with the trusted step size."""
 
 
-class NormLossError(RuntimeError):
-    """A trajectory's norm collapsed to zero (unphysical branch selected)."""
-
-
-__all__ = ["ResolutionError", "InstabilityError", "NormLossError"]
+__all__ = ["ResolutionError", "InstabilityError"]

@@ -26,6 +26,23 @@ Euler update scale with the packet width instead of the packet position,
 which is what keeps wandering trajectories inside the trusted step-size
 budget.
 
+The alpha terms of the drift cancel, so both interaction updates read
+
+    new = c0(x) psi + c1(x) (p psi) - kappa(k) phi,
+    c0 = 1 - (lam dt/2) xc^2 + sqrt(lam) xc dxi,
+    c1 = i (alpha/hbar) (sqrt(lam) dxi - lam dt xc),
+    kappa = lam alpha^2 dt (hbar k)^2 / (2 hbar^2),
+
+with xc = x - <q> (nonlinear) or xc = x (linear): one code path serves both.
+evolve_batch carries the batch as its spectrum phi = fft(psi).  The
+trailing kinetic half-step of one step and the leading half-step of the
+next merge into one full kinetic factor; a step then takes psi = ifft(phi)
+and p psi = ifft(hbar k phi) back to position space and the interaction
+update forward again, 3 FFTs in all, and reads the norm off phi by
+Parseval's identity.  A record applies the pending half-step and needs 2
+FFTs: one for psi and one for p psi; the p-moments and the aliasing
+fraction come straight from |phi|^2.
+
 Noise is counter-based: NoiseStream(master_seed, trajectory_index) yields
 the increments of that trajectory as a pure function of the pair, so
 ensembles can be partitioned across workers without changing any draw.
@@ -39,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InstabilityError, NormLossError, ResolutionError
+from .errors import ResolutionError
 from .gaussian import GaussianState
 from .model import DerivedConstants, ModelParams, derive_constants
 
@@ -84,19 +101,6 @@ class Grid:
 class GridState:
     psi: np.ndarray
     t: float
-    norm_sq: float
-
-
-@dataclass(frozen=True)
-class MomentRecord:
-    t: float
-    q_mean: float
-    p_mean: float
-    sigma_q_sq: float
-    sigma_p_sq: float
-    sigma_qp_sq: float
-    sigma_O_sq: float
-    energy: float
     norm_sq: float
 
 
@@ -154,7 +158,7 @@ def build_superposition(grid: Grid, a: complex, centers, weights,
         kbars = np.zeros_like(centers)
     kbars = np.asarray(kbars, dtype=float)
     psi = np.zeros(grid.n, dtype=complex)
-    for c, w, kb in zip(centers, weights, kbars):
+    for c, w, kb in zip(centers, weights, kbars, strict=True):
         dxv = grid.x - c
         psi += math.sqrt(w) * np.exp(-a * dxv * dxv + 1j * kb * dxv)
     return psi / math.sqrt(float(grid_norm_sq(psi, grid)))
@@ -179,12 +183,18 @@ def apply_qp_operator(psi: np.ndarray, grid: Grid, p: ModelParams,
     return coef_q * grid.x * psi + coef_p * apply_momentum(psi, grid, p)
 
 
+def _abs2(z):
+    return np.square(z.real) + np.square(z.imag)
+
+
+def _alias_fraction(power, grid: Grid):
+    cut = (2.0 / 3.0) * float(np.max(np.abs(grid.k)))
+    return np.vecdot(power, np.abs(grid.k) >= cut) / power.sum(axis=-1)
+
+
 def aliasing_fraction(psi: np.ndarray, grid: Grid):
     """Spectral mass in the top third of |k|, relative to the total."""
-    power = np.abs(_fft(psi)) ** 2
-    cut = (2.0 / 3.0) * float(np.max(np.abs(grid.k)))
-    mask = np.abs(grid.k) >= cut
-    return power[..., mask].sum(axis=-1) / power.sum(axis=-1)
+    return _alias_fraction(_abs2(_fft(psi)), grid)
 
 
 def apply_A(psi: np.ndarray, grid: Grid, p: ModelParams,
@@ -225,129 +235,50 @@ def suggest_dt(psi: np.ndarray, grid: Grid, p: ModelParams,
     return budget / (lam * scale)
 
 
-def _kinetic_half(grid: Grid, p: ModelParams, dt: float) -> np.ndarray:
-    return np.exp(-0.25j * p.hbar * grid.k**2 * dt / p.mass)
+def _kinetic(grid: Grid, p: ModelParams, dt: float):
+    """Free propagators over half and whole steps, diagonal in the FFT
+    basis."""
+    phase = -0.25j * p.hbar * grid.k**2 * dt / p.mass
+    return np.exp(phase), np.exp(2.0 * phase)
 
 
-def _interaction_terms(psi, grid, p):
-    """Shared spectral pieces: (fft psi, p psi, p^2 psi)."""
-    fpsi = _fft(psi)
-    hbk = p.hbar * grid.k
-    ppsi = _ifft(hbk * fpsi)
-    p2psi = _ifft(hbk * hbk * fpsi)
-    return ppsi, p2psi
-
-
-def _step_batch(psi, grid, p, dxi_col, dt, kin, equation):
-    """One Strang step on a (B, n) batch.  Returns the new batch, and for the
-    nonlinear equation renormalizes in place, returning the pre-renorm norms.
-    """
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    x = grid.x
-    psi = _ifft(kin * _fft(psi))
-    ppsi, p2psi = _interaction_terms(psi, grid, p)
-    anti = 2.0 * x * ppsi - 1j * hb * psi
-    root = math.sqrt(lam)
-    beta = al / hb
-    if equation == "nonlinear":
-        prob = np.abs(psi) ** 2
-        norm = prob.sum(axis=-1, keepdims=True) * grid.dx
-        r = (x * prob).sum(axis=-1, keepdims=True) * grid.dx / norm
-        xc = x - r
-        a_psi = xc * psi + 1j * beta * ppsi
-        ada_psi = xc * xc * psi + beta * beta * p2psi - al * psi
-        drift = (
-            -0.5j * lam * al / hb * anti
-            - 0.5 * lam * ada_psi
-            + (1j * lam * al / hb) * r * ppsi
-        )
-    else:
-        a_psi = x * psi + 1j * beta * ppsi
-        ada_psi = x * x * psi + beta * beta * p2psi - al * psi
-        drift = -0.5j * lam * al / hb * anti - 0.5 * lam * ada_psi
-    psi = psi + drift * dt + root * a_psi * dxi_col
-    psi = _ifft(kin * _fft(psi))
-    if equation == "nonlinear":
-        n2 = grid_norm_sq(psi, grid)[..., None]
-        bad = n2[..., 0] < 1e-280
-        if np.any(bad):
-            n2 = np.where(n2 < 1e-280, 1.0, n2)
-        psi = psi / np.sqrt(n2)
-        return psi, n2[..., 0], bad
-    return psi, grid_norm_sq(psi, grid), np.zeros(psi.shape[0], dtype=bool)
-
-
-def linear_step(state: GridState, grid: Grid, p: ModelParams,
-                dxi: float, dt: float) -> GridState:
-    """One step of the unnormalized linear equation driven by dxi."""
-    psi = np.atleast_2d(state.psi)
-    kin = _kinetic_half(grid, p, dt)
-    new, n2, _ = _step_batch(psi, grid, p, np.array([[dxi]]), dt, kin, "linear")
-    n2 = float(n2[0])
-    if state.norm_sq > 0.0 and n2 > 100.0 * state.norm_sq:
-        raise InstabilityError("norm grew more than tenfold in one step")
-    return GridState(psi=new[0], t=state.t + dt, norm_sq=n2)
-
-
-def nonlinear_step(state: GridState, grid: Grid, p: ModelParams,
-                   dW: float, dt: float) -> GridState:
-    """One renormalized step of the physical (localizing) equation."""
-    psi = np.atleast_2d(state.psi)
-    kin = _kinetic_half(grid, p, dt)
-    new, _, bad = _step_batch(psi, grid, p, np.array([[dW]]), dt, kin,
-                              "nonlinear")
-    if bad[0]:
-        raise NormLossError("state norm collapsed during a nonlinear step")
-    return GridState(psi=new[0], t=state.t + dt, norm_sq=1.0)
-
-
-def _moments_batch(psi, grid, p, a_inf):
-    """Moment dictionary for a (B, n) batch; normalization is divided out,
-    and the raw squared norm reported alongside."""
-    m, hb = p.mass, p.hbar
-    x = grid.x
-    prob = np.abs(psi) ** 2
-    w = prob.sum(axis=-1) * grid.dx
-    qm = (x * prob).sum(axis=-1) * grid.dx / w
-    q2 = (x * x * prob).sum(axis=-1) * grid.dx / w
-    fpsi = _fft(psi)
-    pw = np.abs(fpsi) ** 2
-    pwsum = pw.sum(axis=-1)
+def _moments_batch(psi, phi, prob, power, grid, p, a_inf):
+    """Moment dictionary for a (B, n) batch psi with spectrum phi and the
+    densities prob = |psi|^2, power = |phi|^2; normalization is divided
+    out, and the raw squared norm reported alongside."""
+    hb, x = p.hbar, grid.x
     hbk = hb * grid.k
-    pm = (hbk * pw).sum(axis=-1) / pwsum
-    p2 = (hbk * hbk * pw).sum(axis=-1) / pwsum
-    ppsi = _ifft(hbk * fpsi)
-    qp = (np.conj(psi) * x * ppsi).sum(axis=-1).real * grid.dx / w
-    o_psi = ppsi - 2j * hb * a_inf * (x * psi)
-    oval = (np.conj(psi) * o_psi).sum(axis=-1) * grid.dx / w
-    o2 = (np.abs(o_psi) ** 2).sum(axis=-1) * grid.dx / w
+    w = prob.sum(axis=-1) * grid.dx
+    scale = grid.dx / w
+    qm = np.vecdot(prob, x) * scale
+    q2 = np.vecdot(prob, x * x) * scale
+    pwsum = power.sum(axis=-1)
+    pm = np.vecdot(power, hbk) / pwsum
+    p2 = np.vecdot(power, hbk * hbk) / pwsum
+    xp = np.vecdot(psi, x * _ifft(hbk * phi)) * scale   # <q p>
+    # O = p - c q with c = 2 i hbar a_inf; <p^2> and <p> are spectral
+    c = 2j * hb * a_inf
+    oval = pm - c * qm
+    o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
     return {
         "q_mean": qm,
         "p_mean": pm,
         "sigma_q_sq": q2 - qm * qm,
         "sigma_p_sq": p2 - pm * pm,
-        "sigma_qp_sq": qp - qm * pm,
+        "sigma_qp_sq": xp.real - qm * pm,
         "sigma_O_sq": o2 - np.abs(oval) ** 2,
-        "energy": p2 / (2.0 * m),
+        "energy": p2 / (2.0 * p.mass),
         "norm_sq": w,
     }
 
 
-def observables(state: GridState, grid: Grid, p: ModelParams,
-                d: DerivedConstants | None = None) -> MomentRecord:
-    """Moments of a single state (normalization divided out)."""
-    d = d or derive_constants(p, boltzmann=1.0)
-    mom = _moments_batch(np.atleast_2d(state.psi), grid, p, d.a_inf)
-    return MomentRecord(t=state.t, **{k: float(v[0]) for k, v in mom.items()})
-
-
-def _check_batch(psi, grid):
-    """Aliasing and boundary-leak flags for a (B, n) batch."""
-    alias = aliasing_fraction(psi, grid) > _ALIAS_FRACTION
-    amp = np.abs(psi)
-    peak = amp.max(axis=-1)
-    edge = np.maximum(amp[..., :2].max(axis=-1), amp[..., -2:].max(axis=-1))
-    leak = edge > _BOUNDARY_FRACTION * peak
+def _check_batch(prob, power, grid):
+    """Aliasing and boundary-leak flags for a (B, n) batch, from its
+    position density and its power spectrum."""
+    alias = _alias_fraction(power, grid) > _ALIAS_FRACTION
+    peak = prob.max(axis=-1)
+    edge = np.maximum(prob[..., :2].max(axis=-1), prob[..., -2:].max(axis=-1))
+    leak = edge > _BOUNDARY_FRACTION**2 * peak
     return alias, leak
 
 
@@ -359,10 +290,11 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     (B, n_steps).
 
     Returns (times, records, final_psi, aborted) where records has
-    shape (n_records, B, len(RECORD_FIELDS)).  Validity checks (spectral
-    aliasing, boundary leakage, norm collapse or blow-up) run at record
-    times; a failing trajectory is flagged in `aborted` and its subsequent
-    records are not meaningful.
+    shape (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
+    non-finite, collapses (nonlinear) or grows a hundredfold in one step
+    (linear) is flagged at that step; spectral aliasing and boundary leakage
+    are checked at record times.  A flagged trajectory's subsequent records
+    are not meaningful.
     """
     if equation not in ("nonlinear", "linear"):
         raise ValueError("equation must be 'nonlinear' or 'linear'")
@@ -376,36 +308,73 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         raise ValueError(
             "increments must have shape (batch, n_steps) = "
             f"({n_batch}, {n_steps}), got {increments.shape}")
-    kin = _kinetic_half(grid, p, dt)
+    lam, hb = p.collapse_rate, p.hbar
+    beta = p.momentum_coupling / hb
+    root, lam_dt = math.sqrt(lam), lam * dt
+    x = grid.x
+    lam_dt_x, half_lam_dt_x2 = lam_dt * x, 0.5 * lam_dt * x * x
+    # i beta p in the FFT basis, and the p^2 part of the interaction
+    ibp = 1j * beta * hb * grid.k
+    kappa = 0.5 * lam_dt * (beta * hb * grid.k) ** 2
+    half, full = _kinetic(grid, p, dt)
+    parseval = grid.dx / grid.n
+    nonlinear = equation == "nonlinear"
+
     rec_steps = list(range(0, n_steps + 1, record_every))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
     records = np.empty((len(rec_steps), n_batch, len(RECORD_FIELDS)))
     aborted = np.zeros(n_batch, dtype=bool)
-    prev_norm = grid_norm_sq(psi, grid)
 
-    def take_record(slot, step):
-        t = step * dt
-        mom = _moments_batch(psi, grid, p, d.a_inf)
-        records[slot, :, 0] = t
+    def take_record(slot, psi, phi):
+        prob, power = _abs2(psi), _abs2(phi)
+        mom = _moments_batch(psi, phi, prob, power, grid, p, d.a_inf)
+        records[slot, :, 0] = rec_steps[slot] * dt
         for j, name in enumerate(RECORD_FIELDS[1:], start=1):
             records[slot, :, j] = mom[name]
-        alias, leak = _check_batch(psi, grid)
+        alias, leak = _check_batch(prob, power, grid)
         np.logical_or(aborted, alias | leak, out=aborted)
 
-    slot = 0
-    take_record(slot, 0)
-    slot += 1
+    # phi carries the state after each step's interaction update, so that
+    # the trailing kinetic half-step merges with the next leading one
+    phi = _fft(psi)
+    prev_norm = grid_norm_sq(psi, grid)
+    take_record(0, psi, phi)
+    slot = 1
     for step in range(1, n_steps + 1):
-        dxi_col = increments[:, step - 1][:, None]
-        psi, n2, bad = _step_batch(psi, grid, p, dxi_col, dt, kin, equation)
-        np.logical_or(aborted, bad, out=aborted)
-        if equation == "linear":
-            blown = n2 > 100.0 * prev_norm
-            np.logical_or(aborted, blown, out=aborted)
+        phi *= half if step == 1 else full
+        psi = _ifft(phi)
+        ibppsi = _ifft(ibp * phi)
+        dxi = increments[:, step - 1]
+        if nonlinear:
+            prob = _abs2(psi)
+            r = np.vecdot(prob, x) / prob.sum(axis=-1)
+        else:
+            r = 0.0
+        # c0 = 1 + xc (root dxi - lam dt xc / 2) and c1 = i beta s with
+        # s = root dxi - lam dt xc, spelt out in powers of x (xc = x - r)
+        s_r = (root * dxi + lam_dt * r)[:, None]
+        c0 = s_r * x
+        c0 -= half_lam_dt_x2
+        c0 += (1.0 - r * (root * dxi + 0.5 * lam_dt * r))[:, None]
+        psi *= c0
+        ibppsi *= s_r - lam_dt_x
+        psi += ibppsi
+        phi *= kappa
+        phi = _fft(psi) - phi
+        n2 = np.vecdot(phi, phi).real * parseval
+        bad = ~np.isfinite(n2)
+        if nonlinear:
+            bad |= n2 < 1e-280
+            phi *= (1.0 / np.sqrt(np.where(bad, 1.0, n2)))[:, None]
+        else:
+            bad |= n2 > 100.0 * prev_norm
             prev_norm = n2
+        np.logical_or(aborted, bad, out=aborted)
         if step == rec_steps[slot]:
-            take_record(slot, step)
+            phi_r = half * phi
+            psi = _ifft(phi_r)
+            take_record(slot, psi, phi_r)
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
     return times, records, psi, aborted
@@ -435,9 +404,8 @@ def evolve_trajectory(psi0: np.ndarray, grid: Grid, p: ModelParams, dt: float,
 
 
 __all__ = [
-    "RECORD_FIELDS", "Grid", "GridState", "MomentRecord", "TrajectoryResult",
+    "RECORD_FIELDS", "Grid", "GridState", "TrajectoryResult",
     "NoiseStream", "grid_norm_sq", "build_gaussian", "build_superposition",
     "apply_momentum", "apply_qp_operator", "apply_A", "aliasing_fraction",
-    "suggest_dt", "linear_step", "nonlinear_step", "observables",
-    "evolve_batch", "evolve_trajectory",
+    "suggest_dt", "evolve_batch", "evolve_trajectory",
 ]

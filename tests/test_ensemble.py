@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcollapse.grid import RECORD_FIELDS
+from dcollapse.grid import RECORD_FIELDS, NoiseStream, build_superposition
 from dcollapse import ensemble as en
 
 
@@ -71,6 +71,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.initial_psi(cfg.grid())
 
+    @pytest.mark.parametrize("bad", [
+        dict(dt=-0.01), dict(dt=0.0), dict(n_steps=0), dict(record_every=0),
+        dict(n_trajectories=0), dict(batch_size=0), dict(n_workers=0),
+    ])
+    def test_rejects_nonpositive_sizes(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            en.ExperimentConfig(**bad)
+
+    def test_rejects_weights_centers_mismatch(self):
+        with pytest.raises(ValueError, match="weights"):
+            en.ExperimentConfig(initial="superposition",
+                                centers=(-5.0, 0.0, 5.0), weights=(0.5, 0.5))
+
+    def test_rejects_kbars_centers_mismatch(self):
+        with pytest.raises(ValueError, match="kbars"):
+            SMALL.replace(kbars=(1.0,))
+        assert SMALL.replace(kbars=(1.0, -1.0)).kbars == (1.0, -1.0)
+
+    def test_build_superposition_rejects_ragged_packets(self):
+        grid = SMALL.grid()
+        with pytest.raises(ValueError):
+            build_superposition(grid, 1.0 + 0.0j, (-5.0, 0.0, 5.0),
+                                (0.5, 0.5))
+
 
 @pytest.fixture(scope="module")
 def small_run():
@@ -126,6 +151,25 @@ class TestRunEnsemble:
         summary = en.run_ensemble(cfg)
         assert summary.n_trajectories == 24
         assert int(summary.hist_counts.sum()) == 24
+
+    def test_nonfinite_trajectory_is_excluded(self, monkeypatch):
+        class PoisonedStream(NoiseStream):
+            def increments(self, n_steps, dt):
+                inc = super().increments(n_steps, dt)
+                if self.trajectory_index == 5:
+                    inc[3] = np.nan
+                return inc
+
+        monkeypatch.setattr(en, "NoiseStream", PoisonedStream)
+        summary, records, aborted = en.run_ensemble(SMALL,
+                                                    return_records=True)
+        assert np.flatnonzero(aborted).tolist() == [5]
+        assert np.isnan(records[-1, 5]).any()
+        assert summary.n_aborted == 1
+        assert np.isfinite(summary.mean).all()
+        assert np.isfinite(summary.sem).all()
+        assert np.isfinite(summary.density).all()
+        assert int(summary.hist_counts.sum()) == 23
 
     def test_all_aborted_run_completes(self):
         cfg = SMALL.replace(xbar0=11.0, n_trajectories=6, batch_size=6,

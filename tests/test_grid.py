@@ -3,14 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from dcollapse.errors import InstabilityError, NormLossError, ResolutionError
+from dcollapse.errors import ResolutionError
 from dcollapse.model import ModelParams
 from dcollapse import gaussian as ge
 from dcollapse import grid as gr
 from dcollapse import localization as lo
 
+import reference_kernel
+
 FREE = ModelParams(mass=1.0, collapse_rate=0.0, momentum_coupling=0.5,
                    hbar=1.0)
+
+
+def initial_record(psi, grid, p, d):
+    """The t = 0 record of a single state, as a field -> value dict."""
+    _, recs, _, _ = gr.evolve_batch(psi, grid, p, 0.01, 0, np.zeros((1, 0)),
+                                    record_every=1, d=d)
+    return dict(zip(gr.RECORD_FIELDS, recs[0, 0]))
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +84,16 @@ class TestMoments:
     def test_match_closed_forms_spectrally(self, grid, p_nat, d_nat):
         g = ge.GaussianState(a=0.8 + 0.3j, xbar=-0.4, kbar=0.6)
         psi = gr.build_gaussian(grid, g)
-        rec = gr.observables(gr.GridState(psi, 0.0, 1.0), grid, p_nat, d_nat)
+        rec = initial_record(psi, grid, p_nat, d_nat)
         tr = ge.spreads(g.a, p_nat)
-        assert rec.q_mean == pytest.approx(g.xbar, abs=1e-10)
-        assert rec.p_mean == pytest.approx(p_nat.hbar * g.kbar, abs=1e-10)
-        assert rec.sigma_q_sq == pytest.approx(tr.sigma_q ** 2, rel=1e-9)
-        assert rec.sigma_p_sq == pytest.approx(tr.sigma_p ** 2, rel=1e-9)
-        assert rec.sigma_qp_sq == pytest.approx(tr.sigma_qp_sq, rel=1e-9)
-        assert rec.energy == pytest.approx(ge.gaussian_energy(g, p_nat),
-                                           rel=1e-9)
-        assert rec.norm_sq == pytest.approx(1.0, rel=1e-12)
+        assert rec["q_mean"] == pytest.approx(g.xbar, abs=1e-10)
+        assert rec["p_mean"] == pytest.approx(p_nat.hbar * g.kbar, abs=1e-10)
+        assert rec["sigma_q_sq"] == pytest.approx(tr.sigma_q ** 2, rel=1e-9)
+        assert rec["sigma_p_sq"] == pytest.approx(tr.sigma_p ** 2, rel=1e-9)
+        assert rec["sigma_qp_sq"] == pytest.approx(tr.sigma_qp_sq, rel=1e-9)
+        assert rec["energy"] == pytest.approx(ge.gaussian_energy(g, p_nat),
+                                              rel=1e-9)
+        assert rec["norm_sq"] == pytest.approx(1.0, rel=1e-12)
 
     def test_sigma_O_agrees_with_moment_formula(self, grid, p_nat, d_nat):
         # the operator-level variance recorded on the grid must equal the
@@ -92,25 +101,25 @@ class TestMoments:
         for a in (0.8 + 0.3j, 0.4 - 0.5j, complex(d_nat.a_inf)):
             g = ge.GaussianState(a=a, xbar=0.7, kbar=-0.2)
             psi = gr.build_gaussian(grid, g)
-            rec = gr.observables(gr.GridState(psi, 0.0, 1.0), grid, p_nat,
-                                 d_nat)
-            via_moments = lo.sigma_O_sq(rec.sigma_q_sq, rec.sigma_p_sq,
-                                        rec.sigma_qp_sq, p_nat, d_nat)
+            rec = initial_record(psi, grid, p_nat, d_nat)
+            via_moments = lo.sigma_O_sq(rec["sigma_q_sq"], rec["sigma_p_sq"],
+                                        rec["sigma_qp_sq"], p_nat, d_nat)
             pure = 4.0 * p_nat.hbar ** 2 * abs(a - complex(d_nat.a_inf)) ** 2 \
-                * rec.sigma_q_sq
-            assert rec.sigma_O_sq == pytest.approx(via_moments, rel=1e-8,
-                                                   abs=1e-10)
-            assert rec.sigma_O_sq == pytest.approx(pure, rel=1e-8, abs=1e-10)
+                * rec["sigma_q_sq"]
+            assert rec["sigma_O_sq"] == pytest.approx(via_moments, rel=1e-8,
+                                                      abs=1e-10)
+            assert rec["sigma_O_sq"] == pytest.approx(pure, rel=1e-8,
+                                                      abs=1e-10)
 
     def test_normalization_is_divided_out(self, grid, p_nat, d_nat):
         g = ge.GaussianState(a=0.8 + 0.3j, xbar=-0.4, kbar=0.6)
         psi = gr.build_gaussian(grid, g)
-        one = gr.observables(gr.GridState(psi, 0.0, 1.0), grid, p_nat, d_nat)
-        two = gr.observables(gr.GridState(3.7 * psi, 0.0, 3.7 ** 2), grid,
-                             p_nat, d_nat)
-        assert two.q_mean == pytest.approx(one.q_mean, abs=1e-12)
-        assert two.sigma_p_sq == pytest.approx(one.sigma_p_sq, rel=1e-12)
-        assert two.norm_sq == pytest.approx(3.7 ** 2, rel=1e-12)
+        one = initial_record(psi, grid, p_nat, d_nat)
+        two = initial_record(3.7 * psi, grid, p_nat, d_nat)
+        assert two["q_mean"] == pytest.approx(one["q_mean"], abs=1e-12)
+        assert two["sigma_p_sq"] == pytest.approx(one["sigma_p_sq"],
+                                                  rel=1e-12)
+        assert two["norm_sq"] == pytest.approx(3.7 ** 2, rel=1e-12)
 
 
 class TestSuperposition:
@@ -122,15 +131,16 @@ class TestSuperposition:
         prob = np.abs(psi) ** 2 * grid.dx
         right = float(prob[grid.x > 0.0].sum())
         assert right == pytest.approx(0.7, abs=1e-9)
-        rec = gr.observables(gr.GridState(psi, 0.0, 1.0), grid, p_nat, d_nat)
-        assert rec.q_mean == pytest.approx(0.3 * -5.0 + 0.7 * 5.0, abs=1e-6)
+        rec = initial_record(psi, grid, p_nat, d_nat)
+        assert rec["q_mean"] == pytest.approx(0.3 * -5.0 + 0.7 * 5.0,
+                                              abs=1e-6)
 
     def test_kbars_set_branch_momenta(self, grid, d_nat, p_nat):
         psi = gr.build_superposition(grid, 2.0 + 0.0j, (-5.0, 5.0),
                                      (0.3, 0.7), kbars=(1.0, -2.0))
-        rec = gr.observables(gr.GridState(psi, 0.0, 1.0), grid, p_nat, d_nat)
+        rec = initial_record(psi, grid, p_nat, d_nat)
         want = p_nat.hbar * (0.3 * 1.0 + 0.7 * -2.0)
-        assert rec.p_mean == pytest.approx(want, abs=1e-6)
+        assert rec["p_mean"] == pytest.approx(want, abs=1e-6)
 
 
 class TestFreeEvolution:
@@ -234,20 +244,25 @@ class TestNoiseShiftEquivalence:
         # increment, after renormalization and up to the O(dt) difference of
         # the two discretizations
         psi0 = gr.build_gaussian(grid, packet)
-        st0 = gr.GridState(psi=psi0, t=0.0, norm_sq=1.0)
-        r = gr.observables(st0, grid, p_nat, d_nat).q_mean
+        r = initial_record(psi0, grid, p_nat, d_nat)["q_mean"]
         root = math.sqrt(p_nat.collapse_rate)
+
+        def one_step(equation, dxi, dt):
+            _, _, psi, _ = gr.evolve_batch(psi0, grid, p_nat, dt, 1,
+                                           np.array([[dxi]]),
+                                           equation=equation, record_every=1,
+                                           d=d_nat)
+            return psi[0]
 
         def one_step_diff(z, dt, sign):
             dW = z * math.sqrt(dt)
-            ns = gr.nonlinear_step(st0, grid, p_nat, dW, dt)
-            ls = gr.linear_step(st0, grid, p_nat,
-                                dW + sign * 2.0 * root * r * dt, dt)
-            psl = ls.psi / math.sqrt(float(gr.grid_norm_sq(ls.psi, grid)))
-            ov = np.vdot(psl, ns.psi) * grid.dx
+            ns = one_step("nonlinear", dW, dt)
+            ls = one_step("linear", dW + sign * 2.0 * root * r * dt, dt)
+            psl = ls / math.sqrt(float(gr.grid_norm_sq(ls, grid)))
+            ov = np.vdot(psl, ns) * grid.dx
             phase = ov / abs(ov)
             return math.sqrt(float(
-                np.sum(np.abs(ns.psi - phase * psl) ** 2) * grid.dx))
+                np.sum(np.abs(ns - phase * psl) ** 2) * grid.dx))
 
         for z in (0.3, 2.0, -1.5):
             good = {dt: one_step_diff(z, dt, +1.0) for dt in (0.02, 0.005)}
@@ -287,12 +302,6 @@ class TestGuards:
                                            record_every=1, d=d_nat)
         assert aborted[0]
 
-    def test_linear_step_instability(self, grid, p_nat, packet):
-        psi0 = gr.build_gaussian(grid, packet)
-        st0 = gr.GridState(psi=psi0, t=0.0, norm_sq=1.0)
-        with pytest.raises(InstabilityError):
-            gr.linear_step(st0, grid, p_nat, 50.0, 0.01)
-
     def test_linear_batch_flags_blowup(self, grid, p_nat, d_nat, packet):
         psi0 = gr.build_gaussian(grid, packet)
         inc = np.full((1, 2), 50.0)
@@ -301,11 +310,32 @@ class TestGuards:
                                            d=d_nat)
         assert aborted[0]
 
-    def test_norm_loss_raises(self, grid, p_nat, packet):
+    def test_norm_loss_flags_abort(self, grid, p_nat, d_nat, packet):
         tiny = gr.build_gaussian(grid, packet) * 1e-160
-        st0 = gr.GridState(psi=tiny, t=0.0, norm_sq=1e-320)
-        with pytest.raises(NormLossError):
-            gr.nonlinear_step(st0, grid, p_nat, 0.01, 0.01)
+        with np.errstate(all="ignore"):
+            _, _, _, aborted = gr.evolve_batch(tiny, grid, p_nat, 0.01, 1,
+                                               np.full((1, 1), 0.01),
+                                               equation="nonlinear",
+                                               record_every=1, d=d_nat)
+        assert aborted[0]
+
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    def test_nonfinite_row_aborts_alone(self, grid, p_nat, d_nat, packet,
+                                        equation):
+        good = gr.build_gaussian(grid, packet)
+        bad = good.copy()
+        bad[100] = np.nan
+        inc = np.stack([gr.NoiseStream(8, i).increments(12, 0.01)
+                        for i in range(2)])
+        run = dict(equation=equation, record_every=4, d=d_nat)
+        _, recs, psi, aborted = gr.evolve_batch(
+            np.stack([good, bad]), grid, p_nat, 0.01, 12, inc, **run)
+        _, recs1, psi1, aborted1 = gr.evolve_batch(
+            good, grid, p_nat, 0.01, 12, inc[:1], **run)
+        assert aborted.tolist() == [False, True]
+        assert not aborted1[0]
+        assert np.array_equal(recs[:, :1], recs1)
+        assert np.array_equal(psi[:1], psi1)
 
     def test_increment_shape_guard(self, grid, p_nat, packet):
         psi0 = gr.build_gaussian(grid, packet)
@@ -370,3 +400,46 @@ class TestTrajectoryWrapper:
                                    d=d_nat)
         got = res.records[:, gr.RECORD_FIELDS.index("t")]
         assert np.allclose(got, [0.0, 0.03, 0.06, 0.07], atol=1e-12)
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    @pytest.mark.parametrize("n_batch", [1, 32])
+    def test_matches_position_space_kernel(self, grid, p_nat, d_nat, packet,
+                                           equation, n_batch):
+        n_steps, dt = 100, 0.01
+        psi0 = np.broadcast_to(gr.build_gaussian(grid, packet),
+                               (n_batch, grid.n)).copy()
+        inc = np.stack([gr.NoiseStream(17, i).increments(n_steps, dt)
+                        for i in range(n_batch)])
+        times, recs, psi, aborted = gr.evolve_batch(
+            psi0, grid, p_nat, dt, n_steps, inc, equation=equation,
+            record_every=10, d=d_nat)
+        want_t, want_recs, want_psi = reference_kernel.evolve(
+            psi0, grid, p_nat, dt, n_steps, inc, equation, 10, d_nat.a_inf)
+        assert not aborted.any()
+        assert np.array_equal(times, want_t)
+        assert np.max(np.abs(recs - want_recs)) < 1e-12
+        assert np.max(np.abs(psi - want_psi)) < 1e-12
+
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    def test_fft_calls_per_step_and_record(self, grid, p_nat, d_nat, packet,
+                                           equation, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        psi0 = np.broadcast_to(gr.build_gaussian(grid, packet),
+                               (4, grid.n)).copy()
+        inc = np.zeros((4, 10))
+        for every, n_records in ((10, 2), (1, 11)):
+            calls.clear()
+            gr.evolve_batch(psi0, grid, p_nat, 0.01, 10, inc,
+                            equation=equation, record_every=every, d=d_nat)
+            assert len(calls) == 3 * 10 + 2 * n_records
