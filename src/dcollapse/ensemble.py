@@ -68,6 +68,12 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        for name, allowed in (("units", ("natural", "si")),
+                              ("equation", ("nonlinear", "linear")),
+                              ("initial", ("gaussian", "superposition"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         for name in ("n_steps", "record_every", "n_trajectories",
@@ -103,12 +109,10 @@ class ExperimentConfig:
     def initial_psi(self, grid: Grid) -> np.ndarray:
         if self.initial == "gaussian":
             return build_gaussian(grid, self.initial_gaussian())
-        if self.initial == "superposition":
-            g = self.initial_gaussian()
-            kbars = self.kbars if self.kbars else None
-            return build_superposition(grid, g.a, self.centers, self.weights,
-                                       kbars=kbars)
-        raise ValueError(f"unknown initial state: {self.initial}")
+        g = self.initial_gaussian()
+        kbars = self.kbars if self.kbars else None
+        return build_superposition(grid, g.a, self.centers, self.weights,
+                                   kbars=kbars)
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

@@ -2,7 +2,7 @@
 
 
 class ResolutionError(RuntimeError):
-    """Grid or quadrature resolution is insufficient for the requested state."""
+    """Grid resolution is insufficient for the requested state."""
 
 
 class InstabilityError(RuntimeError):

@@ -67,6 +67,7 @@ RECORD_FIELDS = (
 
 _ALIAS_FRACTION = 1e-6
 _BOUNDARY_FRACTION = 1e-8
+_NORM_FLOOR = 1e-280  # a squared norm below this has underflowed
 
 
 @dataclass(frozen=True)
@@ -245,14 +246,16 @@ def _kinetic(grid: Grid, p: ModelParams, dt: float):
 def _moments_batch(psi, phi, prob, power, grid, p, a_inf):
     """Moment dictionary for a (B, n) batch psi with spectrum phi and the
     densities prob = |psi|^2, power = |phi|^2; normalization is divided
-    out, and the raw squared norm reported alongside."""
+    out, and the raw squared norm reported alongside.  A row whose squared
+    norm has underflowed gets NaN moments."""
     hb, x = p.hbar, grid.x
     hbk = hb * grid.k
     w = prob.sum(axis=-1) * grid.dx
-    scale = grid.dx / w
+    live = w > _NORM_FLOOR
+    scale = grid.dx / np.where(live, w, np.nan)
     qm = np.vecdot(prob, x) * scale
     q2 = np.vecdot(prob, x * x) * scale
-    pwsum = power.sum(axis=-1)
+    pwsum = np.where(live, power.sum(axis=-1), np.nan)
     pm = np.vecdot(power, hbk) / pwsum
     p2 = np.vecdot(power, hbk * hbk) / pwsum
     xp = np.vecdot(psi, x * _ifft(hbk * phi)) * scale   # <q p>
@@ -292,9 +295,9 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     Returns (times, records, final_psi, aborted) where records has
     shape (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
     non-finite, collapses (nonlinear) or grows a hundredfold in one step
-    (linear) is flagged at that step; spectral aliasing and boundary leakage
-    are checked at record times.  A flagged trajectory's subsequent records
-    are not meaningful.
+    (linear) is flagged at that step; spectral aliasing, boundary leakage and
+    an underflowed norm (NaN moments) are checked at record times.  A
+    flagged trajectory's subsequent records are not meaningful.
     """
     if equation not in ("nonlinear", "linear"):
         raise ValueError("equation must be 'nonlinear' or 'linear'")
@@ -333,7 +336,8 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         for j, name in enumerate(RECORD_FIELDS[1:], start=1):
             records[slot, :, j] = mom[name]
         alias, leak = _check_batch(prob, power, grid)
-        np.logical_or(aborted, alias | leak, out=aborted)
+        underflow = ~(mom["norm_sq"] > _NORM_FLOOR)
+        np.logical_or(aborted, alias | leak | underflow, out=aborted)
 
     # phi carries the state after each step's interaction update, so that
     # the trailing kinetic half-step merges with the next leading one
@@ -365,7 +369,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         n2 = np.vecdot(phi, phi).real * parseval
         bad = ~np.isfinite(n2)
         if nonlinear:
-            bad |= n2 < 1e-280
+            bad |= n2 < _NORM_FLOOR
             phi *= (1.0 / np.sqrt(np.where(bad, 1.0, n2)))[:, None]
         else:
             bad |= n2 > 100.0 * prev_norm

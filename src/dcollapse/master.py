@@ -20,11 +20,16 @@ coeff_flow advances the coefficient vector by the closed-form solution of
 For general states the same dynamics is carried by a Green identity: the full
 characteristic function is the freely sheared one evaluated at a damped
 argument times an explicit Gaussian weight.  green_factors exposes that
-identity, evolve_characteristic pushes a coefficient vector through it (an
-arithmetic route independent of coeff_flow, used for cross-validation), and
-position_density performs the double quadrature that turns the identity into
-the spatial probability density, either exactly or in its short-time and
-smoothed approximations.
+identity, and evolve_characteristic pushes a coefficient vector through it (an
+arithmetic route independent of coeff_flow, used for cross-validation).
+
+position_density turns the identity into the spatial probability density.
+Integrated over its momentum argument, each of its routes (exact, short-time
+expansion, beta_t smoothing, free) is the freely evolved state smeared by a
+Gaussian weight e^{-b k^2} and a k-proportional split s k of its two
+arguments.  For Gaussian data that integral is itself a normal density whose
+mean and variance are closed forms in (b, s), so every route costs one
+exponential per point.
 
 All long-time kernels are evaluated through `numerics`, so the formulas hold
 from u = 2*lam*alpha*t ~ 1e-20 (SI, laboratory times) up to saturation.
@@ -36,11 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import numerics
-from .errors import ResolutionError
-from .gaussian import GaussianState, free_evolve, spreads, wavefunction
+from .gaussian import GaussianState, free_evolve, wavefunction
 from .model import ModelParams
 
 
@@ -259,118 +262,67 @@ def beta_t(t: float, p: ModelParams) -> float:
     return 1.5 * (m * m) / (hb * hb * lam * (1.0 + 3.0 * ratio * ratio) * t**3)
 
 
-def _density_quadrature(g0: GaussianState, t: float, p: ModelParams, x,
-                        b_weight: float, shift_coef: float,
-                        nk: int, ny: int):
-    """Shared double quadrature for the exact and short-time densities.
-
-    The density is
-
-        p_t(x) = (1/2 pi hbar) int dk dy e^{-iky/hbar} e^{-b_weight k^2}
-                 psi_S(x + y + s k) conj(psi_S(x + y - s k)),   s = shift_coef,
-
-    with psi_S the freely evolved initial state.  Window sizes follow the
-    Gaussian decay scales of the integrand; resolution follows the fastest
-    phase present.
-    """
-    m, hb = p.mass, p.hbar
-    gs = free_evolve(g0, t, p)
-    a_s = complex(gs.a)
-    tr = spreads(a_s, p)
-    sig = tr.sigma_q
-    x = np.asarray(x, dtype=float)
-
-    b_k = sig * sig / (2.0 * hb * hb) + b_weight \
-        + 2.0 * a_s.real * shift_coef * shift_coef
-    k_max = 8.0 / math.sqrt(b_k)
-    # integrate y around the packet centre for each x: y = y0 + v with
-    # y0 = xbar_S - x, so the Gaussian support always sits inside the window
-    v_half = 7.0 * sig + abs(shift_coef) * k_max
-    w_max = v_half + abs(shift_coef) * k_max
-    # fastest v-oscillation: outer transform plus the state's own chirp
-    v_fast = k_max / hb + abs(gs.kbar) + 2.0 * (abs(a_s.imag) + a_s.real) * w_max
-    ny_needed = int(10 * v_half * v_fast / math.pi) + 1
-    ny = max(ny, ny_needed)
-    ny += (ny + 1) % 2
-    # fastest k-oscillation: transform phase over the full |y| range plus the
-    # chirp the k-dependent shift drags through the state
-    y_abs_max = float(np.max(np.abs(gs.xbar - x))) + v_half
-    k_fast = y_abs_max / hb + abs(shift_coef) * (
-        2.0 * (abs(a_s.imag) + a_s.real) * w_max + abs(gs.kbar))
-    nk_needed = int(10 * k_max * k_fast / math.pi) + 1
-    nk = max(nk, nk_needed)
-    nk += (nk + 1) % 2
-    if nk * ny > 6_000_000:
-        raise ResolutionError("density quadrature grid would exceed limits")
-
-    kg = np.linspace(-k_max, k_max, nk)
-    vg = np.linspace(-v_half, v_half, ny)
-    weight = np.exp(-b_weight * kg * kg)
-    out = np.empty(x.shape)
-    kv = np.exp(-1j * np.outer(kg, vg) / hb)
-    shift = shift_coef * kg[:, None]
-    for i, xi in np.ndenumerate(x):
-        y0 = gs.xbar - xi
-        base = gs.xbar + vg[None, :]
-        vals = wavefunction(gs, base + shift, p) * np.conj(
-            wavefunction(gs, base - shift, p)
-        )
-        integrand = kv * vals * weight[:, None]
-        inner = simpson(integrand, x=vg, axis=1)
-        inner *= np.exp(-1j * kg * y0 / hb)
-        out[i] = simpson(inner, x=kg).real / (2.0 * math.pi * hb)
-    return out
-
-
 def position_density(g0: GaussianState, t: float, p: ModelParams, x,
-                     method: str = "exact", nk: int = 257, ny: int = 513) -> DensityProfile:
+                     method: str = "exact") -> DensityProfile:
     """Spatial probability density of the evolved ensemble.
 
-    method:
-      'exact'     full quadrature of the Green identity
-      'expansion' same quadrature with the short-time (cubic) weight
-      'smoothed'  free density convolved with the beta_t Gaussian
-      'free'      the freely evolved density itself (baseline)
+    Every route is the Green identity integrated over its momentum argument,
 
-    The initial state is the pure Gaussian g0.  Returns the density sampled
-    on x, along with its quadrature norm as a self-check (should be 1 to
-    within the quadrature tolerance).
+        p_t(x) = (1/2 pi hbar) int dk dy e^{-iky/hbar} e^{-b k^2}
+                 psi_S(x + y + s k) conj(psi_S(x + y - s k)),
+
+    with psi_S = free_evolve(g0, t) and a route-specific pair (b, s):
+
+      'exact'     b = lam alpha^2 t / (2 hbar^2)
+                      - k1(u) / (32 m^2 lam^2 alpha^3),
+                  s = f2(u) / (4 m lam alpha),  u = 2 lam alpha t
+                  (b = lam t^3 / 6m^2 and s = 0 at alpha = 0)
+      'expansion' the short-time (cubic) weight: b = lam t^3 / 6m^2
+                  + lam alpha^2 t / (2 hbar^2), s = lam alpha t^2 / 2m
+      'smoothed'  the free density convolved with exp(-beta_t y^2):
+                  b = 1 / (4 beta_t hbar^2), s = 0
+      'free'      the freely evolved density itself: b = s = 0
+
+    For the Gaussian psi_S with width a_S = ar + i ai the integral is a
+    normal density with
+
+        mean = xbar_S - 2 hbar kbar s,
+        var  = 2 hbar^2 (b + 2 ar s^2) + (1 + 4 hbar ai s)^2 / (4 ar),
+
+    and b = s = 0 (also 'exact' at lam = 0 or t = 0) returns |psi_S|^2
+    itself.  The profile carries its trapezoid norm on x as a self-check.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     x = np.asarray(x, dtype=float)
     beta = None
-    if method == "exact":
-        if lam == 0.0 or t == 0.0:
-            dens = np.abs(wavefunction(free_evolve(g0, t, p), x, p)) ** 2
+    b = s = 0.0
+    if method == "exact" and lam != 0.0 and t != 0.0:
+        if al == 0.0:
+            b = lam * t**3 / (6.0 * m * m)
         else:
             u = 2.0 * lam * al * t
-            if al == 0.0:
-                b_w = lam * t**3 / (6.0 * m * m)
-                s_c = 0.0
-            else:
-                b_w = lam * al * al * t / (2.0 * hb * hb) \
-                    - float(numerics.k1(u)) / (32.0 * m * m * lam * lam * al**3)
-                s_c = float(numerics.f2(u)) / (4.0 * m * lam * al)
-            dens = _density_quadrature(g0, t, p, x, b_w, s_c, nk, ny)
+            b = lam * al * al * t / (2.0 * hb * hb) \
+                - float(numerics.k1(u)) / (32.0 * m * m * lam * lam * al**3)
+            s = float(numerics.f2(u)) / (4.0 * m * lam * al)
     elif method == "expansion":
-        b_w = lam * t**3 / (6.0 * m * m) + lam * al * al * t / (2.0 * hb * hb)
-        s_c = lam * al * t * t / (2.0 * m)
-        dens = _density_quadrature(g0, t, p, x, b_w, s_c, nk, ny)
+        b = lam * t**3 / (6.0 * m * m) + lam * al * al * t / (2.0 * hb * hb)
+        s = lam * al * t * t / (2.0 * m)
     elif method == "smoothed":
         beta = beta_t(t, p)
-        gs = free_evolve(g0, t, p)
-        if not math.isfinite(beta):
-            dens = np.abs(wavefunction(gs, x, p)) ** 2
-        else:
-            half = 8.0 * (1.0 / math.sqrt(2.0 * beta) + spreads(gs.a, p).sigma_q)
-            yg = np.linspace(-half, half, max(ny, 513))
-            kern = np.sqrt(beta / math.pi) * np.exp(-beta * yg * yg)
-            frees = np.abs(wavefunction(gs, x[:, None] + yg[None, :], p)) ** 2
-            dens = simpson(frees * kern[None, :], x=yg, axis=1)
-    elif method == "free":
-        dens = np.abs(wavefunction(free_evolve(g0, t, p), x, p)) ** 2
-    else:
+        b = 1.0 / (4.0 * beta * hb * hb)
+    elif method not in ("exact", "free"):
         raise ValueError(f"unknown density method: {method}")
+    gs = free_evolve(g0, t, p)
+    if b == 0.0 and s == 0.0:
+        dens = np.abs(wavefunction(gs, x, p)) ** 2
+    else:
+        a_s = complex(gs.a)
+        ar, ai = a_s.real, a_s.imag
+        mean = gs.xbar - 2.0 * hb * gs.kbar * s
+        var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
+            + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
+        dens = np.exp(-0.5 * (x - mean) ** 2 / var) \
+            / math.sqrt(2.0 * math.pi * var)
     norm = float(np.trapezoid(dens, x))
     return DensityProfile(x=x, density=dens, method=method, norm=norm, beta=beta)
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dcollapse
 from dcollapse import cli
 from dcollapse import localization as loc
 from dcollapse.ensemble import ExperimentConfig
@@ -15,6 +19,20 @@ def read_csv(path):
         header = f.readline().strip().split(",")
     body = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
     return schema, header, body
+
+
+class TestImport:
+    def test_cli_imports_no_scipy(self):
+        # scipy is a test dependency only; importing it would slow the
+        # start-up and grow the resident memory of every command
+        root = os.path.dirname(os.path.dirname(dcollapse.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, dcollapse.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestConstants:

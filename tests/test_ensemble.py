@@ -67,15 +67,24 @@ class TestConfig:
         assert g.a == complex(d.a_inf)
 
     def test_unknown_initial_raises(self):
-        cfg = SMALL.replace(initial="plane-wave")
-        with pytest.raises(ValueError):
-            cfg.initial_psi(cfg.grid())
+        # refused when the config is built, before any grid exists
+        with pytest.raises(ValueError, match="initial"):
+            SMALL.replace(initial="plane-wave")
 
     @pytest.mark.parametrize("bad", [
         dict(dt=-0.01), dict(dt=0.0), dict(n_steps=0), dict(record_every=0),
         dict(n_trajectories=0), dict(batch_size=0), dict(n_workers=0),
     ])
     def test_rejects_nonpositive_sizes(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            en.ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(equation="typo"), dict(equation="Linear"),
+        dict(initial="plane"), dict(units="furlongs"), dict(units="SI"),
+    ])
+    def test_rejects_unknown_names(self, bad):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=name):
             en.ExperimentConfig(**bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,13 +312,18 @@ class TestGuards:
         assert aborted[0]
 
     def test_norm_loss_flags_abort(self, grid, p_nat, d_nat, packet):
+        # an underflowed norm gives NaN moments and an abort, and no numpy
+        # overflow or invalid-value warnings
         tiny = gr.build_gaussian(grid, packet) * 1e-160
-        with np.errstate(all="ignore"):
-            _, _, _, aborted = gr.evolve_batch(tiny, grid, p_nat, 0.01, 1,
-                                               np.full((1, 1), 0.01),
-                                               equation="nonlinear",
-                                               record_every=1, d=d_nat)
-        assert aborted[0]
+        for equation in ("nonlinear", "linear"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, recs, _, aborted = gr.evolve_batch(
+                    tiny, grid, p_nat, 0.01, 2, np.full((1, 2), 0.01),
+                    equation=equation, record_every=1, d=d_nat)
+            assert aborted[0]
+            assert np.isnan(recs[:, 0, 1:-1]).all()
+            assert (recs[:, 0, -1] > 0.0).all()
 
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
     def test_nonfinite_row_aborts_alone(self, grid, p_nat, d_nat, packet,

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dcollapse.errors import ResolutionError
 from dcollapse.gaussian import GaussianState, free_evolve, gaussian_energy, spreads
-from dcollapse.model import ModelParams
+from dcollapse.model import ModelParams, scale_parameters
 from dcollapse.numerics import rk4_path
 from dcollapse import master as ms
+
+import reference_quadrature
 
 
 def flow_rhs(p):
@@ -249,7 +251,6 @@ class TestBeta:
     def test_laboratory_scale_magnitude(self):
         # a 1 kg mass after 1 s: the smoothing kernel is a fraction of an
         # angstrom wide, beta ~ 1e43 per square metre
-        from dcollapse.model import scale_parameters
         b = ms.beta_t(1.0, scale_parameters(1.0))
         assert b == pytest.approx(2.2559876735683827e43, rel=1e-10)
         assert 1e43 / 3.0 < b < 3e43
@@ -375,6 +376,36 @@ class TestPositionDensity:
                                 method="typo")
 
     def test_far_window_hits_resolution_guard(self, g0, p_nat):
+        # the quadrature oracle refuses a grid it cannot resolve
         x = np.linspace(1e5, 1e5 + 1.0, 3)
+        b, s = reference_quadrature.route_weights("exact", 0.3, p_nat)
         with pytest.raises(ResolutionError):
-            ms.position_density(g0, 0.3, p_nat, x, method="exact")
+            reference_quadrature.density_quadrature(g0, 0.3, p_nat, x, b, s)
+
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    @pytest.mark.parametrize("method", ["exact", "expansion"])
+    def test_closed_form_matches_quadrature(self, g0, c0, p_nat, method, t):
+        # the Green identity integrated numerically, independent of both the
+        # Gaussian closed form and coeff_flow
+        mom = ms.moments_from_coefficients(ms.coeff_flow(c0, t, p_nat), p_nat)
+        x = mom.q_mean + math.sqrt(mom.var_q) * np.array([-2.5, -1.0, 0.0,
+                                                          0.7, 2.0])
+        b, s = reference_quadrature.route_weights(method, t, p_nat)
+        want = reference_quadrature.density_quadrature(g0, t, p_nat, x, b, s)
+        got = ms.position_density(g0, t, p_nat, x, method=method).density
+        assert np.max(np.abs(got - want)) / np.max(want) < 1e-8
+
+    @pytest.mark.parametrize("mass", [1e-20, 1e-6, 1.0])
+    def test_exact_matches_flowed_moments_si(self, g_si, mass):
+        # laboratory scale, u = 2 lam alpha t down to about 1e-23
+        p = scale_parameters(mass)
+        c_si = ms.coefficients_from_gaussian(g_si, p)
+        for t in (1e-3, 1.0, 1e3):
+            mom = ms.moments_from_coefficients(ms.coeff_flow(c_si, t, p), p)
+            sd = math.sqrt(mom.var_q)
+            x = mom.q_mean + sd * np.linspace(-8.0, 8.0, 801)
+            prof = ms.position_density(g_si, t, p, x, method="exact")
+            peak = 1.0 / math.sqrt(2.0 * math.pi * mom.var_q)
+            want = peak * np.exp(-0.5 * (x - mom.q_mean) ** 2 / mom.var_q)
+            assert np.max(np.abs(prof.density - want)) / peak < 1e-10
+            assert prof.norm == pytest.approx(1.0, abs=1e-12)
