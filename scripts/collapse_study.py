@@ -13,9 +13,9 @@ import os
 
 import numpy as np
 
-from dcollapse.grid import (Grid, NoiseStream, RECORD_FIELDS,
-                            build_superposition, evolve_batch)
-from dcollapse.model import ModelParams, derive_constants
+from dcollapse.ensemble import ExperimentConfig, run_ensemble
+from dcollapse.grid import RECORD_FIELDS
+from dcollapse.model import derive_constants
 
 
 def main():
@@ -32,30 +32,18 @@ def main():
     ap.add_argument("--out", default="collapse_study")
     args = ap.parse_args()
 
-    p = ModelParams(mass=1.0, collapse_rate=args.collapse_rate,
-                    momentum_coupling=args.momentum_coupling, hbar=1.0)
-    d = derive_constants(p, boltzmann=1.0)
-    grid = Grid(-32.0, 32.0, 256)
     w = np.asarray(args.weights, dtype=float)
     w = w / w.sum()
-    psi0 = build_superposition(grid, d.a_inf, list(args.centers), w)
-
-    blocks, flags = [], []
-    times = None
-    for start in range(0, args.n_traj, args.batch):
-        n_b = min(args.batch, args.n_traj - start)
-        inc = np.stack([
-            NoiseStream(args.seed, start + j).increments(args.steps, args.dt)
-            for j in range(n_b)
-        ])
-        psis = np.broadcast_to(psi0, (n_b, grid.n)).copy()
-        times, rec, _, ab = evolve_batch(psis, grid, p, args.dt, args.steps,
-                                         inc, "nonlinear", record_every=5,
-                                         d=d)
-        blocks.append(rec)
-        flags.append(ab)
-    records = np.concatenate(blocks, axis=1)
-    aborted = np.concatenate(flags)
+    cfg = ExperimentConfig(
+        collapse_rate=args.collapse_rate,
+        momentum_coupling=args.momentum_coupling, initial="superposition",
+        centers=tuple(args.centers), weights=tuple(w), x_min=-32.0,
+        x_max=32.0, n_points=256, dt=args.dt, n_steps=args.steps,
+        record_every=5, n_trajectories=args.n_traj, batch_size=args.batch,
+        master_seed=args.seed)
+    d = derive_constants(cfg.params(), boltzmann=1.0)
+    summary, records, aborted = run_ensemble(cfg, return_records=True)
+    times = summary.times
     ok = ~aborted
     print(f"{args.n_traj} trajectories, {aborted.sum()} aborted")
 

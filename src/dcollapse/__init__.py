@@ -10,7 +10,8 @@ other.
 Module map:
     model         parameters, mass scaling, derived stationary constants
     gaussian      closed-form Gaussian trajectory dynamics
-    grid          split-step spectral SDE integrator
+    grid          split-step spectral SDE integrator, batched (one
+                  trajectory is a batch of one)
     master        characteristic-function / Green-function ensemble results
     localization  the contractive observable and its drift law
     ensemble      batched reproducible Monte Carlo runs
@@ -18,15 +19,15 @@ Module map:
 """
 
 from .constants import BOLTZMANN, HBAR, NUCLEON_MASS, FundamentalConstants
-from .errors import InstabilityError, ResolutionError
+from .errors import InstabilityError
 from .model import (DerivedConstants, ModelParams, UnitSystem,
                     center_of_mass_params, derive_constants, scale_parameters,
                     uncertainty_product)
 from .gaussian import (GaussianState, SpreadTriple, a_closed_form,
                        gaussian_energy, phase_constants, sigma_q_of_t,
                        spreads, stationary_covariance)
-from .grid import (Grid, GridState, NoiseStream, build_gaussian,
-                   build_superposition, evolve_trajectory)
+from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
+                   build_superposition, evolve_batch)
 from .master import (CharCoefficients, coeff_flow, evolve_characteristic,
                      green_factors, position_density)
 from .localization import (collapse_rate_bound, drift_prediction, sigma_O_sq,
@@ -38,14 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOLTZMANN", "HBAR", "NUCLEON_MASS", "FundamentalConstants",
-    "InstabilityError", "ResolutionError",
+    "InstabilityError",
     "DerivedConstants", "ModelParams", "UnitSystem",
     "center_of_mass_params", "derive_constants", "scale_parameters",
     "uncertainty_product",
     "GaussianState", "SpreadTriple", "a_closed_form", "gaussian_energy",
     "phase_constants", "sigma_q_of_t", "spreads", "stationary_covariance",
-    "Grid", "GridState", "NoiseStream", "build_gaussian",
-    "build_superposition", "evolve_trajectory",
+    "RECORD_FIELDS", "Grid", "NoiseStream", "build_gaussian",
+    "build_superposition", "evolve_batch",
     "CharCoefficients", "coeff_flow", "evolve_characteristic",
     "green_factors", "position_density",
     "collapse_rate_bound", "drift_prediction", "sigma_O_sq",

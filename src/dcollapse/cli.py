@@ -31,8 +31,8 @@ from . import localization as loc
 from . import master as me
 from .constants import FundamentalConstants
 from .ensemble import ExperimentConfig, _write_csv, compare_to_master, run_ensemble
-from .errors import InstabilityError, ResolutionError
-from .grid import RECORD_FIELDS, NoiseStream, evolve_trajectory
+from .errors import InstabilityError
+from .grid import RECORD_FIELDS, NoiseStream, evolve_batch, record_steps
 from .model import derive_constants, scale_parameters, uncertainty_product
 
 
@@ -66,13 +66,6 @@ def _write_table(args, name, schema, cols, body):
             json.dump(payload, f, sort_keys=True)
             f.write("\n")
     return path
-
-
-def _record_times(cfg):
-    steps = list(range(0, cfg.n_steps + 1, cfg.record_every))
-    if steps[-1] != cfg.n_steps:
-        steps.append(cfg.n_steps)
-    return np.asarray(steps, dtype=float) * cfg.dt
 
 
 def cmd_constants(args) -> int:
@@ -133,7 +126,8 @@ def cmd_gaussian(args) -> int:
     p = cfg.params()
     d = derive_constants(p, boltzmann=1.0)
     g0 = cfg.initial_gaussian()
-    times = _record_times(cfg)
+    steps = record_steps(cfg.n_steps, cfg.record_every)
+    times = np.asarray(steps, dtype=float) * cfg.dt
     a_t = ge.a_closed_form(g0.a, times, p)
     tr = ge.spreads(a_t, p)
     so = loc.sigma_O_sq(tr.sigma_q**2, tr.sigma_p**2, tr.sigma_qp_sq, p, d)
@@ -151,17 +145,15 @@ def cmd_gaussian(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args)
-    p = cfg.params()
     grid = cfg.grid()
-    psi0 = cfg.initial_psi(grid)
-    noise = NoiseStream(cfg.master_seed, 0)
-    res = evolve_trajectory(psi0, grid, p, cfg.dt, cfg.n_steps, noise,
-                            equation=cfg.equation,
-                            record_every=cfg.record_every)
+    incr = NoiseStream(cfg.master_seed, 0).increments(cfg.n_steps, cfg.dt)
+    _, records, _, aborted = evolve_batch(
+        cfg.initial_psi(grid), grid, cfg.params(), cfg.dt, cfg.n_steps,
+        incr[None, :], equation=cfg.equation, record_every=cfg.record_every)
     path = _write_table(args, "trajectory", "trajectory-v1",
-                        list(RECORD_FIELDS), res.records)
+                        list(RECORD_FIELDS), records[:, 0, :])
     print(f"trajectory records written to {path}")
-    if res.aborted:
+    if aborted[0]:
         print("trajectory aborted a validity check", file=sys.stderr)
         return 1
     return 0
@@ -182,7 +174,8 @@ def cmd_master(args) -> int:
     cfg = _load_config(args)
     p = cfg.params()
     c0 = me.coefficients_from_gaussian(cfg.initial_gaussian(), p)
-    times = _record_times(cfg)
+    steps = record_steps(cfg.n_steps, cfg.record_every)
+    times = np.asarray(steps, dtype=float) * cfg.dt
     body = []
     for t in times:
         c = me.coeff_flow(c0, float(t), p)
@@ -343,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InstabilityError, ResolutionError) as exc:
+    except InstabilityError as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

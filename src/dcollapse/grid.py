@@ -41,7 +41,9 @@ and p psi = ifft(hbar k phi) back to position space and the interaction
 update forward again, 3 FFTs in all, and reads the norm off phi by
 Parseval's identity.  A record applies the pending half-step and needs 2
 FFTs: one for psi and one for p psi; the p-moments and the aliasing
-fraction come straight from |phi|^2.
+fraction come straight from |phi|^2.  evolve_batch is the only integrator:
+a single trajectory is a batch of one, psi0 of shape (n,) and increments
+of shape (1, n_steps).
 
 Noise is counter-based: NoiseStream(master_seed, trajectory_index) yields
 the increments of that trajectory as a pure function of the pair, so
@@ -56,7 +58,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ResolutionError
 from .gaussian import GaussianState
 from .model import DerivedConstants, ModelParams, derive_constants
 
@@ -96,24 +97,6 @@ class Grid:
     def k(self) -> np.ndarray:
         """Angular wavenumbers of the FFT modes."""
         return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-
-
-@dataclass(frozen=True)
-class GridState:
-    psi: np.ndarray
-    t: float
-    norm_sq: float
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Moment records (rows ordered as RECORD_FIELDS), final state, and the
-    abort flag raised when a validity check failed mid-run."""
-
-    records: np.ndarray
-    final: GridState
-    aborted: bool
-    abort_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -173,45 +156,16 @@ def _ifft(phi):
     return np.fft.ifft(phi, axis=-1)
 
 
-def apply_momentum(psi: np.ndarray, grid: Grid, p: ModelParams) -> np.ndarray:
-    """p-hat psi evaluated spectrally."""
-    return _ifft(p.hbar * grid.k * _fft(psi))
-
-
-def apply_qp_operator(psi: np.ndarray, grid: Grid, p: ModelParams,
-                      coef_q: complex, coef_p: complex) -> np.ndarray:
-    """(coef_q * q-hat + coef_p * p-hat) psi for any complex coefficients."""
-    return coef_q * grid.x * psi + coef_p * apply_momentum(psi, grid, p)
-
-
 def _abs2(z):
     return np.square(z.real) + np.square(z.imag)
 
 
 def _alias_fraction(power, grid: Grid):
     cut = (2.0 / 3.0) * float(np.max(np.abs(grid.k)))
-    return np.vecdot(power, np.abs(grid.k) >= cut) / power.sum(axis=-1)
-
-
-def aliasing_fraction(psi: np.ndarray, grid: Grid):
-    """Spectral mass in the top third of |k|, relative to the total."""
-    return _alias_fraction(_abs2(_fft(psi)), grid)
-
-
-def apply_A(psi: np.ndarray, grid: Grid, p: ModelParams,
-            check: bool = True) -> np.ndarray:
-    """Apply the coupling operator A = q + i (alpha/hbar) p.
-
-    With check=True the spectral tail is inspected first and a state that
-    has started aliasing raises ResolutionError.
-    """
-    if check:
-        frac = aliasing_fraction(psi, grid)
-        if np.any(frac > _ALIAS_FRACTION):
-            raise ResolutionError(
-                "state carries spectral weight near the Nyquist edge"
-            )
-    return apply_qp_operator(psi, grid, p, 1.0, 1j * p.momentum_coupling / p.hbar)
+    total = power.sum(axis=-1)
+    # a row of zero power has no tail: 0, not 0/0
+    return (np.vecdot(power, np.abs(grid.k) >= cut)
+            / np.where(total > 0.0, total, 1.0))
 
 
 def suggest_dt(psi: np.ndarray, grid: Grid, p: ModelParams,
@@ -285,6 +239,15 @@ def _check_batch(prob, power, grid):
     return alias, leak
 
 
+def record_steps(n_steps: int, record_every: int) -> list:
+    """Steps at which evolve_batch records: 0, record_every, ... and the
+    endpoint n_steps."""
+    steps = list(range(0, n_steps + 1, record_every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
                  increments, equation: str = "nonlinear",
                  record_every: int = 10,
@@ -292,8 +255,9 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     """Evolve a (B, n) batch with per-trajectory increments of shape
     (B, n_steps).
 
-    Returns (times, records, final_psi, aborted) where records has
-    shape (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
+    Returns (times, records, final_psi, aborted) where times are the
+    record_steps(n_steps, record_every) times dt and records has shape
+    (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
     non-finite, collapses (nonlinear) or grows a hundredfold in one step
     (linear) is flagged at that step; spectral aliasing, boundary leakage and
     an underflowed norm (NaN moments) are checked at record times.  A
@@ -323,9 +287,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     parseval = grid.dx / grid.n
     nonlinear = equation == "nonlinear"
 
-    rec_steps = list(range(0, n_steps + 1, record_every))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
+    rec_steps = record_steps(n_steps, record_every)
     records = np.empty((len(rec_steps), n_batch, len(RECORD_FIELDS)))
     aborted = np.zeros(n_batch, dtype=bool)
 
@@ -352,7 +314,9 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         dxi = increments[:, step - 1]
         if nonlinear:
             prob = _abs2(psi)
-            r = np.vecdot(prob, x) / prob.sum(axis=-1)
+            total = prob.sum(axis=-1)
+            # a zero row keeps r = 0 instead of 0/0; its norm aborts it
+            r = np.vecdot(prob, x) / np.where(total > 0.0, total, 1.0)
         else:
             r = 0.0
         # c0 = 1 + xc (root dxi - lam dt xc / 2) and c1 = i beta s with
@@ -384,32 +348,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     return times, records, psi, aborted
 
 
-def evolve_trajectory(psi0: np.ndarray, grid: Grid, p: ModelParams, dt: float,
-                      n_steps: int, noise: NoiseStream,
-                      equation: str = "nonlinear", record_every: int = 10,
-                      d: DerivedConstants | None = None) -> TrajectoryResult:
-    """Evolve one trajectory from the (normalized) initial wavefunction.
-
-    Moment records are taken every record_every steps (plus the endpoint) and
-    returned as an array with columns RECORD_FIELDS.
-    """
-    incr = noise.increments(n_steps, dt)[None, :]
-    times, records, psi, aborted = evolve_batch(
-        psi0, grid, p, dt, n_steps, incr, equation=equation,
-        record_every=record_every, d=d,
-    )
-    recs = records[:, 0, :]
-    final = GridState(psi=psi[0], t=float(times[-1]),
-                      norm_sq=float(recs[-1, RECORD_FIELDS.index("norm_sq")]))
-    return TrajectoryResult(
-        records=recs, final=final, aborted=bool(aborted[0]),
-        abort_reason="validity check failed" if aborted[0] else None,
-    )
-
-
 __all__ = [
-    "RECORD_FIELDS", "Grid", "GridState", "TrajectoryResult",
-    "NoiseStream", "grid_norm_sq", "build_gaussian", "build_superposition",
-    "apply_momentum", "apply_qp_operator", "apply_A", "aliasing_fraction",
-    "suggest_dt", "evolve_batch", "evolve_trajectory",
+    "RECORD_FIELDS", "Grid", "NoiseStream", "grid_norm_sq", "build_gaussian",
+    "build_superposition", "suggest_dt", "record_steps", "evolve_batch",
 ]

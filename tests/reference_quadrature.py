@@ -14,10 +14,13 @@ import numpy as np
 from scipy.integrate import simpson
 
 from dcollapse import numerics
-from dcollapse.errors import ResolutionError
 from dcollapse.gaussian import (GaussianState, free_evolve, spreads,
                                 wavefunction)
 from dcollapse.model import ModelParams
+
+
+class QuadratureLimitError(RuntimeError):
+    """The quadrature grid needed to resolve the integrand is too large."""
 
 
 def route_weights(method: str, t: float, p: ModelParams):
@@ -80,7 +83,7 @@ def density_quadrature(g0: GaussianState, t: float, p: ModelParams, x,
     nk = max(nk, nk_needed)
     nk += (nk + 1) % 2
     if nk * ny > 6_000_000:
-        raise ResolutionError("density quadrature grid would exceed limits")
+        raise QuadratureLimitError("density quadrature grid would exceed limits")
 
     kg = np.linspace(-k_max, k_max, nk)
     vg = np.linspace(-v_half, v_half, ny)

@@ -156,6 +156,27 @@ class TestTrajectory:
         assert body.shape[0] == 6
         assert np.allclose(body[:, -1], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    def test_rows_match_batch_of_one(self, tmp_path, equation):
+        # trajectory.csv holds evolve_batch's B = 1 records for the noise
+        # stream (seed, 0), exactly through the %.17g round trip
+        cfg = ExperimentConfig(n_steps=40, record_every=10, master_seed=7,
+                               equation=equation)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        rc = cli.main(["trajectory", "--config", path, "--out",
+                       str(tmp_path)])
+        assert rc == 0
+        _, header, body = read_csv(str(tmp_path / "trajectory.csv"))
+        grid = cfg.grid()
+        inc = dcollapse.NoiseStream(7, 0).increments(40, cfg.dt)[None, :]
+        _, recs, _, aborted = dcollapse.evolve_batch(
+            cfg.initial_psi(grid), grid, cfg.params(), cfg.dt, 40, inc,
+            equation=equation, record_every=10)
+        assert not aborted[0]
+        assert header == list(dcollapse.RECORD_FIELDS)
+        assert np.array_equal(body, recs[:, 0, :])
+
     def test_seed_flag_changes_noise(self, tmp_path):
         for seed, name in ((3, "a"), (4, "b")):
             out = tmp_path / name

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from dcollapse.errors import ResolutionError
 from dcollapse.model import ModelParams
 from dcollapse import gaussian as ge
 from dcollapse import grid as gr
@@ -275,15 +274,6 @@ class TestNoiseShiftEquivalence:
 
 
 class TestGuards:
-    def test_aliasing_raises_in_apply_A(self, grid, p_nat):
-        psi = gr.build_gaussian(grid, ge.GaussianState(a=0.7, xbar=0.0,
-                                                       kbar=0.0))
-        hot = psi * np.exp(1j * 0.8 * math.pi / grid.dx * grid.x)
-        assert float(gr.aliasing_fraction(hot, grid)) > 0.5
-        with pytest.raises(ResolutionError):
-            gr.apply_A(hot, grid, p_nat)
-        gr.apply_A(hot, grid, p_nat, check=False)
-
     def test_aliased_state_flags_abort(self, grid, p_nat, d_nat):
         psi = gr.build_gaussian(grid, ge.GaussianState(a=0.7, xbar=0.0,
                                                        kbar=0.0))
@@ -312,18 +302,24 @@ class TestGuards:
         assert aborted[0]
 
     def test_norm_loss_flags_abort(self, grid, p_nat, d_nat, packet):
-        # an underflowed norm gives NaN moments and an abort, and no numpy
-        # overflow or invalid-value warnings
-        tiny = gr.build_gaussian(grid, packet) * 1e-160
-        for equation in ("nonlinear", "linear"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, recs, _, aborted = gr.evolve_batch(
-                    tiny, grid, p_nat, 0.01, 2, np.full((1, 2), 0.01),
-                    equation=equation, record_every=1, d=d_nat)
-            assert aborted[0]
-            assert np.isnan(recs[:, 0, 1:-1]).all()
-            assert (recs[:, 0, -1] > 0.0).all()
+        # an underflowed or zero norm gives NaN moments and an abort, and no
+        # numpy overflow or invalid-value warnings; below about 1e-170
+        # |psi|^2 underflows to 0, and the recorded norm must stay 0, not NaN
+        psi = gr.build_gaussian(grid, packet)
+        for amp in (1e-160, 1e-200, 0.0):
+            for equation in ("nonlinear", "linear"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _, recs, _, aborted = gr.evolve_batch(
+                        amp * psi, grid, p_nat, 0.01, 2,
+                        np.full((1, 2), 0.01), equation=equation,
+                        record_every=1, d=d_nat)
+                assert aborted[0]
+                assert np.isnan(recs[:, 0, 1:-1]).all()
+                if amp == 1e-160:
+                    assert (recs[:, 0, -1] > 0.0).all()
+                else:
+                    assert (recs[:, 0, -1] == 0.0).all()
 
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
     def test_nonfinite_row_aborts_alone(self, grid, p_nat, d_nat, packet,
@@ -381,31 +377,16 @@ class TestStepControl:
             gr.suggest_dt(at0, grid, p_nat), rel=0.2)
 
 
-class TestTrajectoryWrapper:
-    def test_matches_batch_run(self, grid, p_nat, d_nat, packet):
-        psi0 = gr.build_gaussian(grid, packet)
-        noise = gr.NoiseStream(7, 4)
-        n_steps, dt = 40, 0.01
-        res = gr.evolve_trajectory(psi0, grid, p_nat, dt, n_steps, noise,
-                                   equation="nonlinear", record_every=10,
-                                   d=d_nat)
-        inc = noise.increments(n_steps, dt)[None, :]
-        times, recs, psi, aborted = gr.evolve_batch(
-            psi0, grid, p_nat, dt, n_steps, inc, equation="nonlinear",
-            record_every=10, d=d_nat)
-        assert np.array_equal(res.records, recs[:, 0, :])
-        assert np.array_equal(res.final.psi, psi[0])
-        assert res.final.t == times[-1]
-        assert res.aborted == bool(aborted[0])
-        assert res.abort_reason is None
-
+class TestRecordSteps:
     def test_record_grid_includes_endpoint(self, grid, p_nat, d_nat, packet):
+        assert gr.record_steps(7, 3) == [0, 3, 6, 7]
+        assert gr.record_steps(6, 3) == [0, 3, 6]
         psi0 = gr.build_gaussian(grid, packet)
-        res = gr.evolve_trajectory(psi0, grid, p_nat, 0.01, 7,
-                                   gr.NoiseStream(1, 0), record_every=3,
-                                   d=d_nat)
-        got = res.records[:, gr.RECORD_FIELDS.index("t")]
-        assert np.allclose(got, [0.0, 0.03, 0.06, 0.07], atol=1e-12)
+        inc = gr.NoiseStream(1, 0).increments(7, 0.01)[None, :]
+        times, recs, _, _ = gr.evolve_batch(psi0, grid, p_nat, 0.01, 7, inc,
+                                            record_every=3, d=d_nat)
+        assert np.allclose(times, [0.0, 0.03, 0.06, 0.07], atol=1e-12)
+        assert np.array_equal(recs[:, 0, gr.RECORD_FIELDS.index("t")], times)
 
 
 class TestReferenceKernel:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.errors import ResolutionError
 from dcollapse.gaussian import GaussianState, free_evolve, gaussian_energy, spreads
 from dcollapse.model import ModelParams, scale_parameters
 from dcollapse.numerics import rk4_path
@@ -379,7 +378,7 @@ class TestPositionDensity:
         # the quadrature oracle refuses a grid it cannot resolve
         x = np.linspace(1e5, 1e5 + 1.0, 3)
         b, s = reference_quadrature.route_weights("exact", 0.3, p_nat)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(reference_quadrature.QuadratureLimitError):
             reference_quadrature.density_quadrature(g0, 0.3, p_nat, x, b, s)
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
