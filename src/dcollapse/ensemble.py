@@ -30,6 +30,7 @@ from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
 from .master import coeff_flow, coefficients_from_gaussian, moments_from_coefficients
 from .model import ModelParams, derive_constants
 from .constants import HBAR
+from .errors import InstabilityError
 
 _FLOAT_TUPLE_FIELDS = {"centers", "weights", "kbars"}
 
@@ -313,7 +314,8 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     With return_records=True also returns the raw per-trajectory record
     tensor of shape (n_records, n_trajectories, len(RECORD_FIELDS)) in
     trajectory-index order (useful for paired statistics; aborted rows are
-    flagged, not removed).
+    flagged, not removed).  Raises InstabilityError when every trajectory
+    aborts, since there is nothing left to average.
     """
     args = _batch_args(cfg)
     if cfg.n_workers > 1:
@@ -326,13 +328,18 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     times = results[0]["times"]
     records = np.concatenate([r["records"] for r in results], axis=1)
     aborted = np.concatenate([r["aborted"] for r in results])
+    if aborted.all():
+        raise InstabilityError(
+            f"all {aborted.size} trajectories aborted (norm loss or growth, "
+            "aliasing, or leakage at the box edge); try a smaller dt or a "
+            "wider box (x_min, x_max)")
     density_sum = np.zeros_like(results[0]["density_sum"])
     n_ok = 0
     for r in results:
         density_sum = density_sum + r["density_sum"]
         n_ok += r["n_ok"]
     grid = cfg.grid()
-    density = density_sum / max(n_ok, 1)
+    density = density_sum / n_ok
 
     ok = ~aborted
     kept = records[:, ok, :]

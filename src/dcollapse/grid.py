@@ -40,8 +40,16 @@ next merge into one full kinetic factor; a step then takes psi = ifft(phi)
 and p psi = ifft(hbar k phi) back to position space and the interaction
 update forward again, 3 FFTs in all, and reads the norm off phi by
 Parseval's identity.  A record applies the pending half-step and needs 2
-FFTs: one for psi and one for p psi; the p-moments and the aliasing
-fraction come straight from |phi|^2.  evolve_batch is the only integrator:
+FFTs: one for psi and one for p psi.  It is one fused pass: row-wise
+products of |psi|^2 with [1, x, x^2] and of |phi|^2 with [1, hbar k,
+(hbar k)^2, alias mask] give the norm, the q- and p-moments and the
+aliasing power, and the leak check reads the same |psi|^2.  The work
+buffers (phi, psi, p psi, an FFT scratch array, |psi|^2, c0 and c1) are
+allocated once per call and every FFT and elementwise update writes into
+them through out=, so the step loop allocates no (B, n) array.  Every
+reduction is a per-row dot product, never a (B, n) @ (n, k) BLAS product,
+so a trajectory gets the same bits alone as inside any batch.
+evolve_batch is the only integrator:
 a single trajectory is a batch of one, psi0 of shape (n,) and increments
 of shape (1, n_steps).
 
@@ -148,26 +156,6 @@ def build_superposition(grid: Grid, a: complex, centers, weights,
     return psi / math.sqrt(float(grid_norm_sq(psi, grid)))
 
 
-def _fft(psi):
-    return np.fft.fft(psi, axis=-1)
-
-
-def _ifft(phi):
-    return np.fft.ifft(phi, axis=-1)
-
-
-def _abs2(z):
-    return np.square(z.real) + np.square(z.imag)
-
-
-def _alias_fraction(power, grid: Grid):
-    cut = (2.0 / 3.0) * float(np.max(np.abs(grid.k)))
-    total = power.sum(axis=-1)
-    # a row of zero power has no tail: 0, not 0/0
-    return (np.vecdot(power, np.abs(grid.k) >= cut)
-            / np.where(total > 0.0, total, 1.0))
-
-
 def suggest_dt(psi: np.ndarray, grid: Grid, p: ModelParams,
                budget: float = 0.05) -> float:
     """Step size keeping lam * max(dx^2, (alpha/hbar)^2 dp^2) * dt below
@@ -181,7 +169,7 @@ def suggest_dt(psi: np.ndarray, grid: Grid, p: ModelParams,
     qm = float(np.sum(grid.x * prob))
     live = prob > 1e-12
     x_half = float(np.max(np.abs(grid.x[live] - qm)))
-    power = np.abs(_fft(psi)) ** 2
+    power = np.abs(np.fft.fft(psi)) ** 2
     power = power / power.sum()
     pm = float(np.sum(hb * grid.k * power))
     livek = power > 1e-12
@@ -197,48 +185,6 @@ def _kinetic(grid: Grid, p: ModelParams, dt: float):
     return np.exp(phase), np.exp(2.0 * phase)
 
 
-def _moments_batch(psi, phi, prob, power, grid, p, a_inf):
-    """Moment dictionary for a (B, n) batch psi with spectrum phi and the
-    densities prob = |psi|^2, power = |phi|^2; normalization is divided
-    out, and the raw squared norm reported alongside.  A row whose squared
-    norm has underflowed gets NaN moments."""
-    hb, x = p.hbar, grid.x
-    hbk = hb * grid.k
-    w = prob.sum(axis=-1) * grid.dx
-    live = w > _NORM_FLOOR
-    scale = grid.dx / np.where(live, w, np.nan)
-    qm = np.vecdot(prob, x) * scale
-    q2 = np.vecdot(prob, x * x) * scale
-    pwsum = np.where(live, power.sum(axis=-1), np.nan)
-    pm = np.vecdot(power, hbk) / pwsum
-    p2 = np.vecdot(power, hbk * hbk) / pwsum
-    xp = np.vecdot(psi, x * _ifft(hbk * phi)) * scale   # <q p>
-    # O = p - c q with c = 2 i hbar a_inf; <p^2> and <p> are spectral
-    c = 2j * hb * a_inf
-    oval = pm - c * qm
-    o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
-    return {
-        "q_mean": qm,
-        "p_mean": pm,
-        "sigma_q_sq": q2 - qm * qm,
-        "sigma_p_sq": p2 - pm * pm,
-        "sigma_qp_sq": xp.real - qm * pm,
-        "sigma_O_sq": o2 - np.abs(oval) ** 2,
-        "energy": p2 / (2.0 * p.mass),
-        "norm_sq": w,
-    }
-
-
-def _check_batch(prob, power, grid):
-    """Aliasing and boundary-leak flags for a (B, n) batch, from its
-    position density and its power spectrum."""
-    alias = _alias_fraction(power, grid) > _ALIAS_FRACTION
-    peak = prob.max(axis=-1)
-    edge = np.maximum(prob[..., :2].max(axis=-1), prob[..., -2:].max(axis=-1))
-    leak = edge > _BOUNDARY_FRACTION**2 * peak
-    return alias, leak
-
-
 def record_steps(n_steps: int, record_every: int) -> list:
     """Steps at which evolve_batch records: 0, record_every, ... and the
     endpoint n_steps."""
@@ -246,6 +192,21 @@ def record_steps(n_steps: int, record_every: int) -> list:
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return steps
+
+
+def _squares(z, out):
+    """Squared real and imaginary parts of a (B, n) complex array, as the
+    (B, 2n) real array out: a row's sum against a basis repeated pairwise
+    is its sum against |z|^2."""
+    return np.square(z.view(float), out=out.view(float))
+
+
+def _rowdot(rows, basis):
+    """(B, k) products of each row of a (B, m) array with the k rows of a
+    (k, m) basis, one dot product per entry, so that a row gets the same
+    bits alone as inside a larger batch (a (B, m) @ (m, k) BLAS product
+    does not promise that)."""
+    return np.vecdot(rows[:, None, :], basis)
 
 
 def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
@@ -262,13 +223,19 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     (linear) is flagged at that step; spectral aliasing, boundary leakage and
     an underflowed norm (NaN moments) are checked at record times.  A
     flagged trajectory's subsequent records are not meaningful.
+
+    The (B, n) work buffers are allocated once per call and every FFT and
+    elementwise update writes into them, so the step loop allocates no
+    (B, n) array.  A record is one fused pass: row-wise products of
+    |psi|^2 with [1, x, x^2] and of |phi|^2 with [1, hbar k, (hbar k)^2,
+    alias mask] give the norm, every moment but <qp> and the aliasing
+    power.  psi0 and increments are not modified, and final_psi and
+    records are arrays of this call alone.
     """
     if equation not in ("nonlinear", "linear"):
         raise ValueError("equation must be 'nonlinear' or 'linear'")
     d = d or derive_constants(p, boltzmann=1.0)
-    psi = np.array(psi0, dtype=complex, copy=True)
-    if psi.ndim == 1:
-        psi = psi[None, :]
+    psi = np.array(np.atleast_2d(psi0), dtype=complex, order="C")
     increments = np.asarray(increments, dtype=float)
     n_batch = psi.shape[0]
     if increments.shape != (n_batch, n_steps):
@@ -278,71 +245,116 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     lam, hb = p.collapse_rate, p.hbar
     beta = p.momentum_coupling / hb
     root, lam_dt = math.sqrt(lam), lam * dt
-    x = grid.x
-    lam_dt_x, half_lam_dt_x2 = lam_dt * x, 0.5 * lam_dt * x * x
+    x, dx, hbk = grid.x, grid.dx, hb * grid.k
     # i beta p in the FFT basis, and the p^2 part of the interaction
-    ibp = 1j * beta * hb * grid.k
-    kappa = 0.5 * lam_dt * (beta * hb * grid.k) ** 2
+    ibp = 1j * beta * hbk
+    kappa = 0.5 * lam_dt * (beta * hbk) ** 2
     half, full = _kinetic(grid, p, dt)
-    parseval = grid.dx / grid.n
+    parseval = dx / grid.n
     nonlinear = equation == "nonlinear"
+    # record bases, repeated pairwise for _squares; the alias mask marks
+    # the top third of the band
+    kabs = np.abs(grid.k)
+    qbasis = np.repeat(np.stack([np.ones_like(x), x, x * x]), 2, axis=1)
+    pbasis = np.repeat(np.stack([np.ones_like(x), hbk, hbk * hbk,
+                                 kabs >= (2.0 / 3.0) * kabs.max()]),
+                       2, axis=1)
+    # O = p - c q with c = 2 i hbar a_inf
+    c = 2j * hb * d.a_inf
+
+    # phi carries the state after each step's interaction update, so that
+    # the trailing kinetic half-step merges with the next leading one;
+    # ppsi holds i beta p psi in a step and x p psi in a record, and the
+    # _squares of psi go to scratch in a step and to ppsi in a record
+    phi = np.fft.fft(psi, axis=-1)
+    ppsi, scratch = np.empty_like(psi), np.empty_like(psi)
+    prob = np.empty(psi.shape)
+    c0, c1 = c01 = np.empty((2, n_batch, grid.n))
+    # per-row coefficients of c0 and c1; the fixed ones are set here
+    coeffs = np.zeros((n_batch, 2, 3))
+    coeffs[:, 0, 2] = 1.0
+    coeffs[:, 1, 1] = -lam_dt
+    cbasis = np.stack([np.ones_like(x), x, -0.5 * lam_dt * x * x])
 
     rec_steps = record_steps(n_steps, record_every)
     records = np.empty((len(rec_steps), n_batch, len(RECORD_FIELDS)))
     aborted = np.zeros(n_batch, dtype=bool)
 
-    def take_record(slot, psi, phi):
-        prob, power = _abs2(psi), _abs2(phi)
-        mom = _moments_batch(psi, phi, prob, power, grid, p, d.a_inf)
-        records[slot, :, 0] = rec_steps[slot] * dt
-        for j, name in enumerate(RECORD_FIELDS[1:], start=1):
-            records[slot, :, j] = mom[name]
-        alias, leak = _check_batch(prob, power, grid)
-        underflow = ~(mom["norm_sq"] > _NORM_FLOOR)
-        np.logical_or(aborted, alias | leak | underflow, out=aborted)
+    def take_record(slot, spec):
+        """Record the state in psi, whose spectrum is spec, into slot and
+        flag its rows; spec may be scratch itself."""
+        ps = _rowdot(_squares(spec, ppsi), pbasis)
+        sq = _squares(psi, ppsi)
+        qs = _rowdot(sq, qbasis)
+        np.add(sq[:, 0::2], sq[:, 1::2], out=prob)
+        np.multiply(spec, hbk, out=scratch)
+        np.fft.ifft(scratch, axis=-1, out=ppsi)
+        np.multiply(ppsi, x, out=ppsi)
+        w = qs[:, 0] * dx
+        live = w > _NORM_FLOOR
+        # an underflowed row gets NaN moments instead of a division by ~0
+        scale = dx / np.where(live, w, np.nan)
+        qm, q2 = qs[:, 1] * scale, qs[:, 2] * scale
+        pwsum = np.where(live, ps[:, 0], np.nan)
+        pm, p2 = ps[:, 1] / pwsum, ps[:, 2] / pwsum
+        xp = np.vecdot(psi, ppsi) * scale   # <q p>
+        oval = pm - c * qm
+        o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
+        records[slot] = np.stack([
+            np.full(n_batch, rec_steps[slot] * dt), qm, pm, q2 - qm * qm,
+            p2 - pm * pm, xp.real - qm * pm, o2 - np.abs(oval) ** 2,
+            p2 / (2.0 * p.mass), w], axis=-1)
+        # a row of zero power has no tail: 0, not 0/0
+        alias = (ps[:, 3] / np.where(ps[:, 0] > 0.0, ps[:, 0], 1.0)
+                 > _ALIAS_FRACTION)
+        peak = prob.max(axis=-1)
+        edge = np.maximum(prob[:, :2].max(axis=-1), prob[:, -2:].max(axis=-1))
+        leak = edge > _BOUNDARY_FRACTION**2 * peak
+        np.logical_or(aborted, alias | leak | ~live, out=aborted)
 
-    # phi carries the state after each step's interaction update, so that
-    # the trailing kinetic half-step merges with the next leading one
-    phi = _fft(psi)
-    prev_norm = grid_norm_sq(psi, grid)
-    take_record(0, psi, phi)
+    take_record(0, phi)
+    prev_norm = records[0, :, -1]   # norm_sq
     slot = 1
     for step in range(1, n_steps + 1):
-        phi *= half if step == 1 else full
-        psi = _ifft(phi)
-        ibppsi = _ifft(ibp * phi)
+        np.multiply(phi, half if step == 1 else full, out=phi)
+        np.fft.ifft(phi, axis=-1, out=psi)
+        np.multiply(phi, ibp, out=scratch)
+        np.fft.ifft(scratch, axis=-1, out=ppsi)
         dxi = increments[:, step - 1]
         if nonlinear:
-            prob = _abs2(psi)
-            total = prob.sum(axis=-1)
+            q01 = _rowdot(_squares(psi, scratch), qbasis[:2])
             # a zero row keeps r = 0 instead of 0/0; its norm aborts it
-            r = np.vecdot(prob, x) / np.where(total > 0.0, total, 1.0)
+            r = q01[:, 1] / np.where(q01[:, 0] > 0.0, q01[:, 0], 1.0)
         else:
             r = 0.0
-        # c0 = 1 + xc (root dxi - lam dt xc / 2) and c1 = i beta s with
-        # s = root dxi - lam dt xc, spelt out in powers of x (xc = x - r)
-        s_r = (root * dxi + lam_dt * r)[:, None]
-        c0 = s_r * x
-        c0 -= half_lam_dt_x2
-        c0 += (1.0 - r * (root * dxi + 0.5 * lam_dt * r))[:, None]
-        psi *= c0
-        ibppsi *= s_r - lam_dt_x
-        psi += ibppsi
-        phi *= kappa
-        phi = _fft(psi) - phi
+        # c0 = 1 + xc (root dxi - lam dt xc / 2) and c1 = root dxi
+        # - lam dt xc, the real factor of i beta p psi, spelt out in powers
+        # of x (xc = x - r): rows of coeffs against [1, x, -lam dt x^2 / 2]
+        s_r = root * dxi + lam_dt * r
+        coeffs[:, 0, 0] = 1.0 - r * (root * dxi + 0.5 * lam_dt * r)
+        coeffs[:, 0, 1] = s_r
+        coeffs[:, 1, 0] = s_r
+        np.matmul(coeffs, cbasis, out=c01.transpose(1, 0, 2))
+        np.multiply(psi, c0, out=psi)
+        np.multiply(ppsi, c1, out=ppsi)
+        np.add(psi, ppsi, out=psi)
+        np.multiply(phi, kappa, out=phi)
+        np.fft.fft(psi, axis=-1, out=scratch)
+        np.subtract(scratch, phi, out=phi)
         n2 = np.vecdot(phi, phi).real * parseval
         bad = ~np.isfinite(n2)
         if nonlinear:
             bad |= n2 < _NORM_FLOOR
-            phi *= (1.0 / np.sqrt(np.where(bad, 1.0, n2)))[:, None]
+            np.multiply(phi, (1.0 / np.sqrt(np.where(bad, 1.0, n2)))[:, None],
+                        out=phi)
         else:
             bad |= n2 > 100.0 * prev_norm
             prev_norm = n2
         np.logical_or(aborted, bad, out=aborted)
         if step == rec_steps[slot]:
-            phi_r = half * phi
-            psi = _ifft(phi_r)
-            take_record(slot, psi, phi_r)
+            np.multiply(phi, half, out=scratch)
+            np.fft.ifft(scratch, axis=-1, out=psi)
+            take_record(slot, scratch)
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
     return times, records, psi, aborted

@@ -231,6 +231,18 @@ class TestEnsemble:
         out = capsys.readouterr().out
         assert "6 trajectories, 0 aborted" in out
 
+    def test_all_aborted_exits_1(self, tmp_path, capsys):
+        cfg = ExperimentConfig(n_trajectories=4, batch_size=4, n_steps=4,
+                               xbar0=15.0)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        rc = cli.main(["ensemble", "--config", path, "--out",
+                       str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "run error: all 4 trajectories aborted" in err
+        assert not (tmp_path / "moments.csv").exists()
+
 
 class TestErrors:
     def test_missing_config_exits_1(self, tmp_path, capsys):

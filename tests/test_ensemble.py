@@ -1,11 +1,11 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from dcollapse.grid import RECORD_FIELDS, NoiseStream, build_superposition
 from dcollapse import ensemble as en
+from dcollapse.errors import InstabilityError
 
 
 SMALL = en.ExperimentConfig(n_trajectories=24, n_steps=30, dt=0.01,
@@ -180,15 +180,11 @@ class TestRunEnsemble:
         assert np.isfinite(summary.density).all()
         assert int(summary.hist_counts.sum()) == 23
 
-    def test_all_aborted_run_completes(self):
+    def test_all_aborted_run_raises(self):
         cfg = SMALL.replace(xbar0=11.0, n_trajectories=6, batch_size=6,
                             n_steps=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            summary = en.run_ensemble(cfg)
-        assert summary.n_aborted == 6
-        assert int(summary.hist_counts.sum()) == 0
-        assert float(summary.density.max()) == 0.0
+        with pytest.raises(InstabilityError, match=r"all 6 trajectories"):
+            en.run_ensemble(cfg)
 
 
 class TestSummaryFiles:

@@ -352,6 +352,31 @@ class TestGuards:
                             equation="typo")
 
 
+class TestBuffers:
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    def test_inputs_kept_and_outputs_owned(self, grid, p_nat, d_nat, packet,
+                                           equation):
+        psi0 = np.stack([gr.build_gaussian(grid, packet)] * 3)
+        inc = np.stack([gr.NoiseStream(4, i).increments(9, 0.01)
+                        for i in range(3)])
+        psi0_before, inc_before = psi0.copy(), inc.copy()
+        run = dict(equation=equation, record_every=4, d=d_nat)
+        first = gr.evolve_batch(psi0, grid, p_nat, 0.01, 9, inc, **run)
+        second = gr.evolve_batch(psi0, grid, p_nat, 0.01, 9, inc, **run)
+        assert np.array_equal(psi0, psi0_before)
+        assert np.array_equal(inc, inc_before)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, psi0)
+            assert not np.shares_memory(a, inc)
+        kept = [b.copy() for b in second]
+        for a in first:
+            a[...] = np.nan if a.dtype.kind in "fc" else True
+        for b, want in zip(second, kept):
+            assert np.array_equal(b, want)
+
+
 class TestStepControl:
     def test_suggest_dt_scalings(self, grid, p_nat, packet):
         psi = gr.build_gaussian(grid, packet)
@@ -390,24 +415,42 @@ class TestRecordSteps:
 
 
 class TestReferenceKernel:
-    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
-    @pytest.mark.parametrize("n_batch", [1, 32])
-    def test_matches_position_space_kernel(self, grid, p_nat, d_nat, packet,
-                                           equation, n_batch):
-        n_steps, dt = 100, 0.01
-        psi0 = np.broadcast_to(gr.build_gaussian(grid, packet),
-                               (n_batch, grid.n)).copy()
+    @staticmethod
+    def check_matches(psi0, grid, p, d, dt, n_steps, every, equation):
+        """evolve_batch against the position-space kernel: the same times,
+        and records and final states within 1e-12."""
         inc = np.stack([gr.NoiseStream(17, i).increments(n_steps, dt)
-                        for i in range(n_batch)])
+                        for i in range(len(psi0))])
         times, recs, psi, aborted = gr.evolve_batch(
-            psi0, grid, p_nat, dt, n_steps, inc, equation=equation,
-            record_every=10, d=d_nat)
+            psi0, grid, p, dt, n_steps, inc, equation=equation,
+            record_every=every, d=d)
         want_t, want_recs, want_psi = reference_kernel.evolve(
-            psi0, grid, p_nat, dt, n_steps, inc, equation, 10, d_nat.a_inf)
+            psi0, grid, p, dt, n_steps, inc, equation, every, d.a_inf)
         assert not aborted.any()
         assert np.array_equal(times, want_t)
         assert np.max(np.abs(recs - want_recs)) < 1e-12
         assert np.max(np.abs(psi - want_psi)) < 1e-12
+
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    @pytest.mark.parametrize("n_batch", [1, 32])
+    def test_matches_position_space_kernel(self, grid, p_nat, d_nat, packet,
+                                           equation, n_batch):
+        psi0 = np.broadcast_to(gr.build_gaussian(grid, packet),
+                               (n_batch, grid.n)).copy()
+        self.check_matches(psi0, grid, p_nat, d_nat, 0.01, 100, 10,
+                           equation)
+
+    @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
+    @pytest.mark.parametrize("n_batch", [1, 4])
+    def test_matches_on_dense_two_packet_records(self, p_nat, d_nat,
+                                                 equation, n_batch):
+        # the shape of the dense-record benchmark: two packets at n = 512,
+        # a record after every step
+        wide = gr.Grid(-24.0, 24.0, 512)
+        one = gr.build_superposition(wide, complex(d_nat.a_inf),
+                                     (-5.0, 5.0), (0.3, 0.7))
+        psi0 = np.broadcast_to(one, (n_batch, wide.n)).copy()
+        self.check_matches(psi0, wide, p_nat, d_nat, 0.005, 60, 1, equation)
 
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
     def test_fft_calls_per_step_and_record(self, grid, p_nat, d_nat, packet,
