@@ -20,18 +20,15 @@ Module map:
 
 from .constants import BOLTZMANN, HBAR, NUCLEON_MASS, FundamentalConstants
 from .errors import InstabilityError
-from .model import (DerivedConstants, ModelParams, UnitSystem,
-                    center_of_mass_params, derive_constants, scale_parameters,
-                    uncertainty_product)
-from .gaussian import (GaussianState, SpreadTriple, a_closed_form,
-                       gaussian_energy, phase_constants, sigma_q_of_t,
-                       spreads, stationary_covariance)
+from .model import (DerivedConstants, ModelParams, derive_constants,
+                    scale_parameters, uncertainty_product)
+from .gaussian import (GaussianState, SpreadTriple, a_closed_form, spreads,
+                       stationary_covariance)
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
 from .master import (CharCoefficients, coeff_flow, evolve_characteristic,
-                     green_factors, position_density)
-from .localization import (collapse_rate_bound, drift_prediction, sigma_O_sq,
-                           stationarity_residuals)
+                     position_density)
+from .localization import drift_prediction, sigma_O_sq, stationarity_residuals
 from .ensemble import (EnsembleSummary, ExperimentConfig, compare_to_master,
                        run_ensemble)
 
@@ -40,17 +37,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BOLTZMANN", "HBAR", "NUCLEON_MASS", "FundamentalConstants",
     "InstabilityError",
-    "DerivedConstants", "ModelParams", "UnitSystem",
-    "center_of_mass_params", "derive_constants", "scale_parameters",
-    "uncertainty_product",
-    "GaussianState", "SpreadTriple", "a_closed_form", "gaussian_energy",
-    "phase_constants", "sigma_q_of_t", "spreads", "stationary_covariance",
+    "DerivedConstants", "ModelParams", "derive_constants",
+    "scale_parameters", "uncertainty_product",
+    "GaussianState", "SpreadTriple", "a_closed_form", "spreads",
+    "stationary_covariance",
     "RECORD_FIELDS", "Grid", "NoiseStream", "build_gaussian",
     "build_superposition", "evolve_batch",
     "CharCoefficients", "coeff_flow", "evolve_characteristic",
-    "green_factors", "position_density",
-    "collapse_rate_bound", "drift_prediction", "sigma_O_sq",
-    "stationarity_residuals",
+    "position_density",
+    "drift_prediction", "sigma_O_sq", "stationarity_residuals",
     "EnsembleSummary", "ExperimentConfig", "compare_to_master",
     "run_ensemble",
     "__version__",

@@ -266,6 +266,33 @@ def cmd_verify(args) -> int:
     ))
     checks["stationary_covariance"] = {"max_residual": rel, "tol": 1e-6}
 
+    gap = 0.0
+    nucleon = scale_parameters(FundamentalConstants().reference_mass)
+    d_nucleon = derive_constants(nucleon)
+    for pe, de, g0 in ((p, d, cfg.initial_gaussian()),
+                       (nucleon, d_nucleon, ge.GaussianState(a=d_nucleon.a_inf))):
+        c0 = me.coefficients_from_gaussian(g0, pe)
+        e0 = me.energy_from_coefficients(c0, pe)
+        rate = 2.0 * pe.collapse_rate * pe.momentum_coupling
+        # u = 2 lam alpha t from the laboratory scale to saturation; without
+        # damping the config's run time stands in for 1 / (2 lam alpha)
+        scale = 1.0 / rate if rate > 0.0 else cfg.dt * cfg.n_steps
+        times = np.logspace(-20.0, math.log10(40.0), 16) * scale
+        for t in times:
+            flow = me.energy_from_coefficients(me.coeff_flow(c0, t, pe), pe)
+            gap = max(gap, abs(me.mean_energy(e0, t, pe) / flow - 1.0))
+        if math.isfinite(de.energy_inf):
+            saturated = me.mean_energy(e0, times[-1], pe)
+            gap = max(gap, abs(saturated / de.energy_inf - 1.0))
+        # without momentum coupling the energy grows as e0 + lam hbar^2 t / 2m
+        heat = dataclasses.replace(pe, momentum_coupling=0.0)
+        for t in times[::2]:
+            linear = e0 + pe.collapse_rate * pe.hbar**2 * t / (2.0 * pe.mass)
+            flow = me.energy_from_coefficients(me.coeff_flow(c0, t, heat), heat)
+            gap = max(gap, abs(flow / linear - 1.0),
+                      abs(me.mean_energy(e0, t, heat) / linear - 1.0))
+    checks["energy_relaxation"] = {"max_residual": float(gap), "tol": 1e-12}
+
     q2, p2, qp2 = loc.random_moment_triples(20000, p, rng, d)
     so = loc.sigma_O_sq(q2, p2, qp2, p, d)
     dr = loc.drift_prediction(q2, p2, qp2, p, d)

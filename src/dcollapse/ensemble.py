@@ -20,14 +20,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import GaussianState
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
-from .master import coeff_flow, coefficients_from_gaussian, moments_from_coefficients
+from .master import (coeff_flow, coefficients_from_gaussian,
+                     moments_from_coefficients, position_density)
 from .model import ModelParams, derive_constants
 from .constants import HBAR
 from .errors import InstabilityError
@@ -128,10 +129,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        names = {f_.name for f_ in dataclasses.fields(cls)}
+        for k in d:
+            if k not in names:
+                raise ValueError(f"unknown key {k!r}")
         kw = dict(d)
         for k in _FLOAT_TUPLE_FIELDS:
-            if k in kw and kw[k] is not None:
-                kw[k] = tuple(float(v) for v in kw[k])
+            v = kw.get(k)
+            if v is None:
+                continue
+            if not isinstance(v, (list, tuple)) \
+                    or not all(isinstance(x, (int, float)) for x in v):
+                raise ValueError(f"{k} must be a list of numbers, got {v!r}")
+            kw[k] = tuple(float(x) for x in v)
         return cls(**kw)
 
     def to_file(self, path: str) -> None:
@@ -154,7 +164,10 @@ class ExperimentConfig:
         with open(path) as f:
             text = f.read()
         if text.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(text))
+            try:
+                return cls.from_dict(json.loads(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         types = {f_.name: f_ for f_ in dataclasses.fields(cls)}
         kw = {}
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -428,11 +441,8 @@ def compare_to_master(cfg: ExperimentConfig, summary: EnsembleSummary,
                         np.where(np.abs(diff) <= 1e-9 * scale, 0.0, np.inf),
                         diff / safe)
 
-    c_t = coeff_flow(c0, float(summary.times[-1]), p)
-    mom = moments_from_coefficients(c_t, p)
-    var = mom.var_q
-    ref = np.exp(-((summary.density_x - mom.q_mean) ** 2) / (2.0 * var)) \
-        / math.sqrt(2.0 * math.pi * var)
+    ref = position_density(cfg.initial_gaussian(), float(summary.times[-1]),
+                           p, summary.density_x, method="exact").density
     dx = float(summary.density_x[1] - summary.density_x[0])
     l1 = float(np.abs(summary.density - ref).sum() * dx)
     max_z = max(float(np.nanmax(np.abs(v))) for v in z.values())

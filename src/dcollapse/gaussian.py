@@ -22,9 +22,6 @@ the solution is
 
 tau0 = 1 is the attracting fixed point a_inf = -(A + i B)/2; every Re a0 > 0
 initial condition converges to it at the complex rate omega1 + i omega2.
-The equivalent trig-hyperbolic width formula is exposed through
-phase_constants / sigma_q_of_t, with phi1 = +inf denoting a start exactly at
-the fixed point (phi2 only enters through sin/cos and is defined mod 2 pi).
 
 Centre-of-packet statistics over the ensemble of noise realizations obey
 linear ODEs with a-dependent coefficients; integrate_covariance solves them
@@ -73,17 +70,6 @@ class SpreadTriple:
 
 
 @dataclass(frozen=True)
-class PhaseConstants:
-    """Constants of the trig-hyperbolic width representation."""
-
-    A: complex
-    B: complex
-    k: complex
-    phi1: float
-    phi2: float
-
-
-@dataclass(frozen=True)
 class CovarianceMatrix:
     """Ensemble covariances of the packet centres (position units for qq,
     mixed for qp, momentum units for pp)."""
@@ -99,16 +85,6 @@ class CovariancePath:
     qq: np.ndarray
     qp: np.ndarray
     pp: np.ndarray
-
-
-@dataclass(frozen=True)
-class Ell:
-    """Coefficient of the leading secular term of the position covariance,
-    split into the momentum-tilt and width contributions."""
-
-    value: float
-    tilt_term: float
-    width_term: float
 
 
 def _riccati_constants(p: ModelParams, d: DerivedConstants | None = None):
@@ -171,55 +147,6 @@ def integrate_a_ode(a0, t_grid, p: ModelParams, substeps: int = 1):
     return path
 
 
-def phase_constants(a0: complex, p: ModelParams) -> PhaseConstants:
-    """Map an initial width to the constants (A, B, k, phi1, phi2) of the
-    trig-hyperbolic representation.  a0 at the fixed point gives phi1 = +inf.
-    """
-    if p.collapse_rate == 0.0:
-        raise ValueError("no relaxation constants at zero collapse rate")
-    if not complex(a0).real > 0.0:
-        raise ValueError("Re a0 must be positive")
-    A, B, d = _riccati_constants(p)
-    tau0 = 1j * (2.0 * complex(a0) + A) / B
-    if abs(tau0 - 1.0) < 1e-14:
-        return PhaseConstants(A=complex(A), B=complex(B),
-                              k=complex(math.inf, 0.0), phi1=math.inf, phi2=0.0)
-    if abs(tau0 + 1.0) < 1e-14:
-        raise ValueError("a0 sits on the repelling fixed point")
-    k = np.arctanh(tau0 + 0j)
-    return PhaseConstants(A=complex(A), B=complex(B), k=complex(k),
-                          phi1=2.0 * float(k.real), phi2=2.0 * float(k.imag))
-
-
-def sigma_q_of_t(t, pc: PhaseConstants, p: ModelParams,
-                 d: DerivedConstants | None = None):
-    """Position spread along the relaxation, stabilized against overflow.
-
-    Evaluates sigma_q(t) from the trig-hyperbolic representation
-
-        sigma_q^2 = (hbar / (sqrt(2) m omega)) *
-                    (cosh(w1 t + phi1) + cos(w2 t + phi2)) /
-                    (sin(theta) sinh(w1 t + phi1) + cos(theta) sin(w2 t + phi2))
-
-    with numerator and denominator divided by cosh so that arguments of any
-    size (including phi1 = +inf) are safe.
-    """
-    d = d or derive_constants(p, boltzmann=1.0)
-    t = np.asarray(t, dtype=float)
-    arg1 = d.omega1 * t + pc.phi1
-    arg2 = d.omega2 * t + pc.phi2
-    tanh1 = np.tanh(arg1)
-    sech1 = np.where(np.abs(arg1) > 700.0, 0.0,
-                     1.0 / np.cosh(np.clip(arg1, -700.0, 700.0)))
-    sin_t, cos_t = math.sin(d.theta), math.cos(d.theta)
-    num = 1.0 + np.cos(arg2) * sech1
-    den = sin_t * tanh1 + cos_t * np.sin(arg2) * sech1
-    if np.any(den <= 0.0):
-        raise ValueError("width parameter outside the physical half plane")
-    out = np.sqrt((p.hbar / (_SQRT2 * p.mass * d.omega)) * num / den)
-    return float(out) if out.ndim == 0 else out
-
-
 def spreads(a, p: ModelParams):
     """Position/momentum spreads and correlation of a Gaussian with width a.
 
@@ -240,12 +167,6 @@ def spreads(a, p: ModelParams):
     return SpreadTriple(sq, sp, sqp)
 
 
-def gaussian_energy(g: GaussianState, p: ModelParams) -> float:
-    """Mean kinetic energy <p^2>/2m of the state."""
-    tr = spreads(g.a, p)
-    return ((p.hbar * g.kbar) ** 2 + tr.sigma_p ** 2) / (2.0 * p.mass)
-
-
 def wavefunction(g: GaussianState, x, p: ModelParams):
     """Normalized position wavefunction of the state on the points x."""
     x = np.asarray(x, dtype=float)
@@ -261,61 +182,6 @@ def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
     a_t = a_closed_form(g.a, t, free)
     return GaussianState(a=a_t, xbar=g.xbar + p.hbar * g.kbar * t / p.mass,
                          kbar=g.kbar)
-
-
-def step_means(g: GaussianState, dW: float, dt: float, p: ModelParams) -> GaussianState:
-    """One Euler-Maruyama update of the packet centres for a given width.
-
-    dW is the Brownian increment over dt.  The width itself is deterministic
-    and is advanced separately (a_closed_form / integrate_a_ode); the returned
-    state keeps the input a.
-    """
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    ar, ai = complex(g.a).real, complex(g.a).imag
-    root = math.sqrt(lam)
-    s = 0.5 / ar - al
-    xbar = g.xbar + (hb / m) * g.kbar * dt + root * s * dW
-    kbar = g.kbar - 2.0 * lam * al * g.kbar * dt - root * (ai / ar) * dW
-    return dataclasses.replace(g, xbar=xbar, kbar=kbar)
-
-
-def simulate_means(a0: complex, x0, k0, t_grid, p: ModelParams, increments):
-    """Euler-Maruyama paths of the packet centres for an ensemble.
-
-    increments has shape (len(t_grid) - 1,) + E where E is any ensemble shape,
-    each entry a Brownian increment for its interval.  x0, k0 broadcast
-    against E.  The width follows the closed-form flow from a0 (common to all
-    members).  Returns (xbar, kbar) with shape (len(t_grid),) + E.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    root = math.sqrt(lam)
-    shape = increments.shape[1:]
-    x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
-    k = np.broadcast_to(np.asarray(k0, dtype=float), shape).copy()
-    xs = np.empty((len(t_grid),) + shape)
-    ks = np.empty_like(xs)
-    xs[0], ks[0] = x, k
-    for i in range(len(t_grid) - 1):
-        dt = t_grid[i + 1] - t_grid[i]
-        a = a_closed_form(a0, t_grid[i], p)
-        ar, ai = a.real, a.imag
-        s = 0.5 / ar - al
-        dW = increments[i]
-        x = x + (hb / m) * k * dt + root * s * dW
-        k = k - 2.0 * lam * al * k * dt - root * (ai / ar) * dW
-        xs[i + 1], ks[i + 1] = x, k
-    return xs, ks
-
-
-def expected_momentum(p0, t, p: ModelParams):
-    """Ensemble mean momentum: exponential damping at rate 2 lam alpha."""
-    t = np.asarray(t, dtype=float)
-    out = np.asarray(p0, dtype=float) * np.exp(
-        -2.0 * p.collapse_rate * p.momentum_coupling * t
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def integrate_covariance(a_of_t, t_grid, p: ModelParams, c0=(0.0, 0.0, 0.0),
@@ -346,22 +212,6 @@ def integrate_covariance(a_of_t, t_grid, p: ModelParams, c0=(0.0, 0.0, 0.0),
     path = numerics.rk4_path(rhs, np.asarray(c0, dtype=float), t_grid,
                              substeps=substeps)
     return CovariancePath(t=t_grid, qq=path[:, 0], qp=path[:, 1], pp=path[:, 2])
-
-
-def ell(p: ModelParams, d: DerivedConstants | None = None) -> Ell:
-    """Secular coefficient of the stationary position covariance.
-
-    Cqq grows like lam * width_term^2 * t at early times and like
-    lam * value^2 * t once the damping time 1/(2 lam alpha) has passed.
-    """
-    d = d or derive_constants(p, boltzmann=1.0)
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0:
-        return Ell(0.0, 0.0, 0.0)
-    c = 2.0 * d.sigma_qp_bar_sq / hb
-    width = 2.0 * d.sigma_q_bar**2 - al
-    tilt = math.inf if al == 0.0 else hb * c / (2.0 * lam * al * m)
-    return Ell(value=tilt + width, tilt_term=tilt, width_term=width)
 
 
 def stationary_covariance(t, p: ModelParams,
@@ -403,24 +253,8 @@ def _scalarize(cm: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(qq=float(cm.qq), qp=float(cm.qp), pp=float(cm.pp))
 
 
-def stationary_covariance_rates(p: ModelParams,
-                                d: DerivedConstants | None = None):
-    """Early-time growth rates (d/dt at t=0) of (Cqq, Cqp, Cpp) at a_inf."""
-    d = d or derive_constants(p, boltzmann=1.0)
-    lam, al, hb = p.collapse_rate, p.momentum_coupling, p.hbar
-    if lam == 0.0:
-        return 0.0, 0.0, 0.0
-    c = 2.0 * d.sigma_qp_bar_sq / hb
-    s = 2.0 * d.sigma_q_bar**2 - al
-    return lam * s * s, lam * hb * c * s, lam * hb * hb * c * c
-
-
 __all__ = [
-    "GaussianState", "SpreadTriple", "PhaseConstants", "CovarianceMatrix",
-    "CovariancePath", "Ell",
-    "a_closed_form", "integrate_a_ode", "phase_constants", "sigma_q_of_t",
-    "spreads", "gaussian_energy", "wavefunction", "free_evolve",
-    "step_means", "simulate_means", "expected_momentum",
-    "integrate_covariance", "ell", "stationary_covariance",
-    "stationary_covariance_rates",
+    "GaussianState", "SpreadTriple", "CovarianceMatrix", "CovariancePath",
+    "a_closed_form", "integrate_a_ode", "spreads", "wavefunction",
+    "free_evolve", "integrate_covariance", "stationary_covariance",
 ]

@@ -22,7 +22,6 @@ X = sigma_q^2/sq~^2 - 1, Y = sigma_p^2/sp~^2 - 1, Z = sigma_qp^2/sqp~^2 - 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,29 +111,6 @@ def stationarity_residuals(p: ModelParams,
     return StationarityResiduals(drift=drift, mixed=mixed, uncertainty=uncertainty)
 
 
-def collapse_rate_bound(sigma_q_sq, p: ModelParams,
-                        d: DerivedConstants | None = None):
-    """Damping coefficient lam hbar^2 (sigma_q^2 / sq~^2)^2.
-
-    Under the mass-scaling rules the coefficient grows like m^3 sigma_q^4, so
-    any object wider than the stationary spread localizes faster than the
-    base rate by that factor.
-    """
-    d, sq2, _, _ = _bars(p, d)
-    ratio = np.asarray(sigma_q_sq, dtype=float) / sq2
-    out = p.collapse_rate * p.hbar**2 * ratio * ratio
-    return float(out) if out.ndim == 0 else out
-
-
-def collapse_rate_prefactor(p: ModelParams,
-                            d: DerivedConstants | None = None) -> float:
-    """The same coefficient written as prefactor * m^3 sigma_q^4; returns the
-    prefactor, which is independent of the mass by the scaling rules."""
-    d = d or derive_constants(p, boltzmann=1.0)
-    lam, m = p.collapse_rate, p.mass
-    return 2.0 * lam * d.omega**2 * math.sin(d.theta) ** 2 / m
-
-
 def random_moment_triples(n: int, p: ModelParams, rng,
                           d: DerivedConstants | None = None,
                           rel_low: float = -0.9, rel_high: float = 3.0):
@@ -169,6 +145,5 @@ def random_moment_triples(n: int, p: ModelParams, rng,
 
 __all__ = [
     "StationarityResiduals", "sigma_O_sq", "drift_prediction",
-    "relaxation_weights", "stationarity_residuals", "collapse_rate_bound",
-    "collapse_rate_prefactor", "random_moment_triples",
+    "relaxation_weights", "stationarity_residuals", "random_moment_triples",
 ]

@@ -19,9 +19,9 @@ coeff_flow advances the coefficient vector by the closed-form solution of
 
 For general states the same dynamics is carried by a Green identity: the full
 characteristic function is the freely sheared one evaluated at a damped
-argument times an explicit Gaussian weight.  green_factors exposes that
-identity, and evolve_characteristic pushes a coefficient vector through it (an
-arithmetic route independent of coeff_flow, used for cross-validation).
+argument times an explicit Gaussian weight.  evolve_characteristic pushes a
+coefficient vector through that identity (an arithmetic route independent of
+coeff_flow, used for cross-validation).
 
 position_density turns the identity into the spatial probability density.
 Integrated over its momentum argument, each of its routes (exact, short-time
@@ -66,15 +66,6 @@ class StateMoments:
     var_q: float
     var_p: float
     cov_qp: float
-
-
-@dataclass(frozen=True)
-class GreenFactors:
-    """Pullback data: rho~_t(k, x) = exp(log_weight) * rho~_0(k0, x0)."""
-
-    k0: float
-    x0: float
-    log_weight: float
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,13 @@ def energy_from_coefficients(c: CharCoefficients, p: ModelParams) -> float:
 
 def mean_energy(e0: float, t, p: ModelParams):
     """Closed-form ensemble energy: relaxation to the asymptotic value at
-    rate 4 lam alpha, or linear heating when the momentum coupling is zero."""
+    rate 4 lam alpha, or linear heating when the momentum coupling is zero.
+
+    The relaxation is written as e0 e^{-v} + e_inf gamma(v), v = 4 lam alpha t,
+    a sum of non-negative terms.  At laboratory scale e_inf / e0 is of order
+    1e15 and v of order 1e-20, and the form e_inf + (e0 - e_inf) e^{-v} loses
+    a few percent there to cancellation.
+    """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     t = np.asarray(t, dtype=float)
     if lam == 0.0:
@@ -137,7 +134,8 @@ def mean_energy(e0: float, t, p: ModelParams):
         out = e0 + lam * hb * hb * t / (2.0 * m)
     else:
         e_inf = hb * hb / (8.0 * m * al)
-        out = e_inf + (e0 - e_inf) * np.exp(-4.0 * lam * al * t)
+        v = 4.0 * lam * al * t
+        out = e0 * np.exp(-v) + e_inf * numerics.one_minus_exp(v)
     return float(out) if out.ndim == 0 else out
 
 
@@ -178,39 +176,6 @@ def coeff_flow(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficient
         c5=c.c5 * d,
         c6=c.c6,
     )
-
-
-def green_factors(k: float, x: float, t: float, p: ModelParams) -> GreenFactors:
-    """Pullback of the characteristic function to its initial data.
-
-    rho~_t(k, x) = exp(log_weight) * rho~_0(k, x0) with
-
-        x0 = x e^{-u} + k gamma(u) / (2 m lam alpha),   u = 2 lam alpha t,
-
-    and a log-weight quadratic in (x0, x) whose kernel coefficients are the
-    k1/k2/k3 combinations (all non-positive, so the weight damps).  The
-    alpha = 0 limit reduces to the pure position-noise kernel
-    -(lam t / 6)(x0^2 + x x0 + x^2) with x0 = x + k t / m.
-    """
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0 or t == 0.0:
-        return GreenFactors(k0=k, x0=x + k * t / m, log_weight=0.0)
-    if al == 0.0:
-        x0 = x + k * t / m
-        return GreenFactors(
-            k0=k, x0=x0,
-            log_weight=-(lam * t / 6.0) * (x0 * x0 + x * x0 + x * x),
-        )
-    u = 2.0 * lam * al * t
-    gam = float(numerics.one_minus_exp(u))
-    x0 = x * math.exp(-u) + k * gam / (2.0 * m * lam * al)
-    quad = (
-        x0 * x0 * float(numerics.k1(u))
-        + 2.0 * x * x0 * float(numerics.k2(u))
-        + x * x * float(numerics.k3(u))
-    ) / (8.0 * al * gam * gam)
-    log_w = -lam * al * al * k * k * t / (2.0 * hb * hb) + quad
-    return GreenFactors(k0=k, x0=x0, log_weight=log_w)
 
 
 def evolve_characteristic(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficients:
@@ -327,26 +292,9 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
     return DensityProfile(x=x, density=dens, method=method, norm=norm, beta=beta)
 
 
-def interval_probability(profile: DensityProfile, lo: float, hi: float) -> float:
-    """Probability assigned to [lo, hi] by trapezoid integration of the
-    profile, with linear interpolation at the interval ends."""
-    if hi < lo:
-        lo, hi = hi, lo
-    x, d = profile.x, profile.density
-    lo = max(lo, float(x[0]))
-    hi = min(hi, float(x[-1]))
-    if hi <= lo:
-        return 0.0
-    inside = (x > lo) & (x < hi)
-    xs = np.concatenate(([lo], x[inside], [hi]))
-    ds = np.concatenate(([np.interp(lo, x, d)], d[inside], [np.interp(hi, x, d)]))
-    return float(np.trapezoid(ds, xs))
-
-
 __all__ = [
-    "CharCoefficients", "StateMoments", "GreenFactors", "DensityProfile",
+    "CharCoefficients", "StateMoments", "DensityProfile",
     "coefficients_from_gaussian", "moments_from_coefficients", "purity",
-    "energy_from_coefficients", "mean_energy", "coeff_flow", "green_factors",
+    "energy_from_coefficients", "mean_energy", "coeff_flow",
     "evolve_characteristic", "beta_t", "position_density",
-    "interval_probability",
 ]

@@ -9,7 +9,7 @@ are the same for every object:
     lambda(m) = (m / m_0) lambda_base
     alpha(m)  = (m_0 / m) alpha_base
 
-For the centre of mass of a composite, the same rule applies with the total
+For the centre of mass of a composite, scale_parameters takes the total
 mass.  derive_constants evaluates the stationary regime of the single
 trajectory dynamics: the complex relaxation frequency, the attracting width
 parameter a_inf of Gaussian solutions, the stationary spreads, and the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .constants import BOLTZMANN, FundamentalConstants
 
@@ -91,16 +90,6 @@ def scale_parameters(mass: float, fc: FundamentalConstants | None = None) -> Mod
     )
 
 
-def center_of_mass_params(masses: Iterable[float], fc: FundamentalConstants | None = None) -> ModelParams:
-    """Effective couplings for the centre of mass of a rigid composite.
-
-    The relative motion decouples, and the centre of mass sees the couplings
-    of a single object with the total mass.
-    """
-    total = float(sum(masses))
-    return scale_parameters(total, fc)
-
-
 def derive_constants(p: ModelParams, boltzmann: float = BOLTZMANN) -> DerivedConstants:
     """Stationary constants for the couplings p.
 
@@ -154,61 +143,10 @@ def uncertainty_product(d: DerivedConstants) -> float:
     return d.sigma_q_bar * d.sigma_p_bar
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Scale factors between SI and a rescaled unit system.
-
-    length, time, mass are the SI sizes of one code unit.  natural_for picks
-    scales that make hbar = mass = 1 and the momentum coupling dimensionless
-    of order one, which keeps grid simulations well conditioned.
-    """
-
-    length: float
-    time: float
-    mass: float
-
-    @classmethod
-    def si(cls) -> "UnitSystem":
-        return cls(1.0, 1.0, 1.0)
-
-    @classmethod
-    def natural_for(cls, p: ModelParams) -> "UnitSystem":
-        if p.momentum_coupling > 0.0:
-            length = math.sqrt(p.momentum_coupling)
-        else:
-            d = derive_constants(p, boltzmann=1.0)
-            length = math.sqrt(p.hbar / (p.mass * d.omega)) if d.omega > 0 else 1.0
-        time = p.mass * length**2 / p.hbar
-        return cls(length=length, time=time, mass=p.mass)
-
-    def params_to_natural(self, p: ModelParams) -> ModelParams:
-        return ModelParams(
-            mass=p.mass / self.mass,
-            collapse_rate=p.collapse_rate * self.length**2 * self.time,
-            momentum_coupling=p.momentum_coupling / self.length**2,
-            hbar=p.hbar * self.time / (self.mass * self.length**2),
-        )
-
-    def params_to_si(self, p: ModelParams) -> ModelParams:
-        return ModelParams(
-            mass=p.mass * self.mass,
-            collapse_rate=p.collapse_rate / (self.length**2 * self.time),
-            momentum_coupling=p.momentum_coupling * self.length**2,
-            hbar=p.hbar * self.mass * self.length**2 / self.time,
-        )
-
-    @property
-    def energy(self) -> float:
-        """Joules per code energy unit."""
-        return self.mass * self.length**2 / self.time**2
-
-
 __all__ = [
     "ModelParams",
     "DerivedConstants",
-    "UnitSystem",
     "scale_parameters",
-    "center_of_mass_params",
     "derive_constants",
     "uncertainty_product",
 ]

@@ -1,0 +1,160 @@
+"""Independent closed-form routes that the tests hold the library to.
+
+The library computes each of these quantities another way; the routes
+here are kept only as oracles:
+
+- `simulate_means` is the reduced dynamics of a Gaussian trajectory: an
+  Euler-Maruyama recursion for the packet centres along the closed-form
+  width flow.  The grid integrator and the master energy law are compared
+  with it.
+- `phase_constants` and `sigma_q_of_t` are the trig-hyperbolic width
+  formula, a second route to the spread that `gaussian.a_closed_form`
+  gives through its Moebius form.  phi1 = +inf denotes a start exactly at
+  the fixed point; phi2 only enters through sin/cos and is defined mod 2 pi.
+- `green_factors` is the pointwise Green pullback of the characteristic
+  function, which `master.coeff_flow` must reproduce coefficient by
+  coefficient.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from dcollapse import numerics
+from dcollapse.gaussian import _riccati_constants, a_closed_form
+from dcollapse.model import DerivedConstants, ModelParams, derive_constants
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def simulate_means(a0: complex, x0, k0, t_grid, p: ModelParams, increments):
+    """Euler-Maruyama paths of the packet centres for an ensemble.
+
+    increments has shape (len(t_grid) - 1,) + E where E is any ensemble shape,
+    each entry a Brownian increment for its interval.  x0, k0 broadcast
+    against E.  The width follows the closed-form flow from a0 (common to all
+    members).  Returns (xbar, kbar) with shape (len(t_grid),) + E.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
+    root = math.sqrt(lam)
+    shape = increments.shape[1:]
+    x = np.broadcast_to(np.asarray(x0, dtype=float), shape).copy()
+    k = np.broadcast_to(np.asarray(k0, dtype=float), shape).copy()
+    xs = np.empty((len(t_grid),) + shape)
+    ks = np.empty_like(xs)
+    xs[0], ks[0] = x, k
+    for i in range(len(t_grid) - 1):
+        dt = t_grid[i + 1] - t_grid[i]
+        a = a_closed_form(a0, t_grid[i], p)
+        ar, ai = a.real, a.imag
+        s = 0.5 / ar - al
+        dW = increments[i]
+        x = x + (hb / m) * k * dt + root * s * dW
+        k = k - 2.0 * lam * al * k * dt - root * (ai / ar) * dW
+        xs[i + 1], ks[i + 1] = x, k
+    return xs, ks
+
+
+@dataclass(frozen=True)
+class PhaseConstants:
+    """Constants of the trig-hyperbolic width representation."""
+
+    A: complex
+    B: complex
+    k: complex
+    phi1: float
+    phi2: float
+
+
+def phase_constants(a0: complex, p: ModelParams) -> PhaseConstants:
+    """Map an initial width to the constants (A, B, k, phi1, phi2) of the
+    trig-hyperbolic representation.  a0 at the fixed point gives phi1 = +inf.
+    """
+    if p.collapse_rate == 0.0:
+        raise ValueError("no relaxation constants at zero collapse rate")
+    if not complex(a0).real > 0.0:
+        raise ValueError("Re a0 must be positive")
+    A, B, d = _riccati_constants(p)
+    tau0 = 1j * (2.0 * complex(a0) + A) / B
+    if abs(tau0 - 1.0) < 1e-14:
+        return PhaseConstants(A=complex(A), B=complex(B),
+                              k=complex(math.inf, 0.0), phi1=math.inf, phi2=0.0)
+    if abs(tau0 + 1.0) < 1e-14:
+        raise ValueError("a0 sits on the repelling fixed point")
+    k = np.arctanh(tau0 + 0j)
+    return PhaseConstants(A=complex(A), B=complex(B), k=complex(k),
+                          phi1=2.0 * float(k.real), phi2=2.0 * float(k.imag))
+
+
+def sigma_q_of_t(t, pc: PhaseConstants, p: ModelParams,
+                 d: DerivedConstants | None = None):
+    """Position spread along the relaxation, stabilized against overflow.
+
+    Evaluates sigma_q(t) from the trig-hyperbolic representation
+
+        sigma_q^2 = (hbar / (sqrt(2) m omega)) *
+                    (cosh(w1 t + phi1) + cos(w2 t + phi2)) /
+                    (sin(theta) sinh(w1 t + phi1) + cos(theta) sin(w2 t + phi2))
+
+    with numerator and denominator divided by cosh so that arguments of any
+    size (including phi1 = +inf) are safe.
+    """
+    d = d or derive_constants(p, boltzmann=1.0)
+    t = np.asarray(t, dtype=float)
+    arg1 = d.omega1 * t + pc.phi1
+    arg2 = d.omega2 * t + pc.phi2
+    tanh1 = np.tanh(arg1)
+    sech1 = np.where(np.abs(arg1) > 700.0, 0.0,
+                     1.0 / np.cosh(np.clip(arg1, -700.0, 700.0)))
+    sin_t, cos_t = math.sin(d.theta), math.cos(d.theta)
+    num = 1.0 + np.cos(arg2) * sech1
+    den = sin_t * tanh1 + cos_t * np.sin(arg2) * sech1
+    if np.any(den <= 0.0):
+        raise ValueError("width parameter outside the physical half plane")
+    out = np.sqrt((p.hbar / (_SQRT2 * p.mass * d.omega)) * num / den)
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class GreenFactors:
+    """Pullback data: rho~_t(k, x) = exp(log_weight) * rho~_0(k0, x0)."""
+
+    k0: float
+    x0: float
+    log_weight: float
+
+
+def green_factors(k: float, x: float, t: float, p: ModelParams) -> GreenFactors:
+    """Pullback of the characteristic function to its initial data.
+
+    rho~_t(k, x) = exp(log_weight) * rho~_0(k, x0) with
+
+        x0 = x e^{-u} + k gamma(u) / (2 m lam alpha),   u = 2 lam alpha t,
+
+    and a log-weight quadratic in (x0, x) whose kernel coefficients are the
+    k1/k2/k3 combinations (all non-positive, so the weight damps).  The
+    alpha = 0 limit reduces to the pure position-noise kernel
+    -(lam t / 6)(x0^2 + x x0 + x^2) with x0 = x + k t / m.
+    """
+    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
+    if lam == 0.0 or t == 0.0:
+        return GreenFactors(k0=k, x0=x + k * t / m, log_weight=0.0)
+    if al == 0.0:
+        x0 = x + k * t / m
+        return GreenFactors(
+            k0=k, x0=x0,
+            log_weight=-(lam * t / 6.0) * (x0 * x0 + x * x0 + x * x),
+        )
+    u = 2.0 * lam * al * t
+    gam = float(numerics.one_minus_exp(u))
+    x0 = x * math.exp(-u) + k * gam / (2.0 * m * lam * al)
+    quad = (
+        x0 * x0 * float(numerics.k1(u))
+        + 2.0 * x * x0 * float(numerics.k2(u))
+        + x * x * float(numerics.k3(u))
+    ) / (8.0 * al * gam * gam)
+    log_w = -lam * al * al * k * k * t / (2.0 * hb * hb) + quad
+    return GreenFactors(k0=k, x0=x0, log_weight=log_w)

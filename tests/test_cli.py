@@ -259,6 +259,26 @@ class TestErrors:
         assert rc == 1
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_bad_json_config_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n_step": 10}\n')
+        rc = cli.main(["constants", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown key 'n_step'" in err
+
+    def test_json_config_scalar_for_list_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"centers": 5}\n')
+        rc = cli.main(["constants", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "centers must be a list of numbers" in err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -276,12 +296,12 @@ class TestVerify:
         assert set(report["checks"]) == {
             "stationary_identities", "relaxation_weights",
             "width_closed_form", "coefficient_routes",
-            "stationary_covariance", "localization_drift",
-            "ensemble_vs_master",
+            "stationary_covariance", "energy_relaxation",
+            "localization_drift", "ensemble_vs_master",
         }
         assert all(c["passed"] for c in report["checks"].values())
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
         assert "FAIL" not in out
 
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -296,3 +316,16 @@ class TestVerify:
         assert report["passed"] is False
         assert report["checks"]["stationary_identities"]["passed"] is False
         assert "FAIL" in capsys.readouterr().out
+
+    def test_energy_law_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the paper's energy law, off by one part in 1e6, fails the check
+        exact = cli.me.mean_energy
+        monkeypatch.setattr(cli.me, "mean_energy",
+                            lambda e0, t, p: exact(e0, t, p) * (1.0 + 1e-6))
+        rc = cli.main(["verify", "--out", str(tmp_path)])
+        assert rc == 2
+        with open(tmp_path / "verify.json") as f:
+            checks = json.load(f)["checks"]
+        assert checks["energy_relaxation"]["passed"] is False
+        assert checks["energy_relaxation"]["max_residual"] > 1e-7
+        assert "FAIL  energy_relaxation" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dcollapse.grid import RECORD_FIELDS, NoiseStream, build_superposition
 from dcollapse import ensemble as en
+from dcollapse import master as ms
 from dcollapse.errors import InstabilityError
 
 
@@ -253,3 +255,21 @@ class TestMasterComparison:
         bad = cfg.replace(initial="superposition")
         with pytest.raises(ValueError):
             en.compare_to_master(bad, summary, records, aborted)
+
+    def test_l1_density_matches_moment_gaussian(self):
+        # on the ensemble of `dcollapse verify`, the closed-form reference
+        # density gives the L1 distance of the normal density built from the
+        # coeff_flow moments
+        cfg = en.ExperimentConfig(n_trajectories=256, n_steps=100, dt=0.01,
+                                  record_every=20, n_points=128, xbar0=1.0)
+        summary, records, aborted = en.run_ensemble(cfg, return_records=True)
+        comp = en.compare_to_master(cfg, summary, records, aborted)
+        p = cfg.params()
+        c0 = ms.coefficients_from_gaussian(cfg.initial_gaussian(), p)
+        mom = ms.moments_from_coefficients(
+            ms.coeff_flow(c0, float(summary.times[-1]), p), p)
+        x = summary.density_x
+        ref = np.exp(-((x - mom.q_mean) ** 2) / (2.0 * mom.var_q)) \
+            / math.sqrt(2.0 * math.pi * mom.var_q)
+        l1 = float(np.abs(summary.density - ref).sum() * (x[1] - x[0]))
+        assert abs(comp.l1_density - l1) <= 1e-12

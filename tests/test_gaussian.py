@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,9 @@ from dcollapse.errors import InstabilityError
 from dcollapse.model import ModelParams, derive_constants
 from dcollapse.numerics import rk4_path
 from dcollapse import gaussian as ge
+from dcollapse import master as ms
+
+import reference_closed_forms as rcf
 
 
 def riccati_rhs(p):
@@ -63,18 +65,18 @@ class TestPhaseConstants:
     def test_width_formula_matches_closed_form(self, p_nat):
         rng = np.random.default_rng(3)
         for a0 in random_states(rng, 8):
-            pc = ge.phase_constants(a0, p_nat)
+            pc = rcf.phase_constants(a0, p_nat)
             t = np.linspace(0.0, 15.0, 301)
             a_t = ge.a_closed_form(a0, t, p_nat)
             direct = 0.25 / a_t.real
-            formula = ge.sigma_q_of_t(t, pc, p_nat) ** 2
+            formula = rcf.sigma_q_of_t(t, pc, p_nat) ** 2
             assert np.max(np.abs(formula - direct)) < 1e-8
 
     def test_equilibration_time_scale(self, p_nat, d_nat):
         # within t = 20/omega1 the width settles to 0.1%
-        pc = ge.phase_constants(1.1 + 0.3j, p_nat)
+        pc = rcf.phase_constants(1.1 + 0.3j, p_nat)
         t_eq = 20.0 / d_nat.omega1
-        sig = float(ge.sigma_q_of_t(t_eq, pc, p_nat))
+        sig = float(rcf.sigma_q_of_t(t_eq, pc, p_nat))
         assert abs(sig / d_nat.sigma_q_bar - 1.0) < 1e-3
 
     def test_degenerate_direction_raises(self, p_nat):
@@ -82,10 +84,10 @@ class TestPhaseConstants:
         A, B, _ = ge._riccati_constants(p_nat)
         a_bad = (-A - 1j * B * (-1.0)) / 2.0
         with pytest.raises(ValueError):
-            ge.phase_constants(complex(a_bad), p_nat)
+            rcf.phase_constants(complex(a_bad), p_nat)
 
     def test_stationary_start_gives_infinite_phi1(self, p_nat, d_nat):
-        pc = ge.phase_constants(complex(d_nat.a_inf), p_nat)
+        pc = rcf.phase_constants(complex(d_nat.a_inf), p_nat)
         assert math.isinf(pc.phi1)
 
 
@@ -137,8 +139,12 @@ class TestWavefunction:
 
 class TestMeans:
     def test_momentum_damping(self, p_nat):
+        # the ensemble mean momentum of the master flow decays at 2 lam alpha
         t = np.linspace(0.0, 10.0, 11)
-        out = ge.expected_momentum(2.0, t, p_nat)
+        c0 = ms.coefficients_from_gaussian(
+            ge.GaussianState(a=0.5, kbar=2.0 / p_nat.hbar), p_nat)
+        out = [ms.moments_from_coefficients(ms.coeff_flow(c0, ti, p_nat),
+                                            p_nat).p_mean for ti in t]
         lam, al = p_nat.collapse_rate, p_nat.momentum_coupling
         assert np.allclose(out, 2.0 * np.exp(-2.0 * lam * al * t))
 
@@ -146,8 +152,8 @@ class TestMeans:
         n_steps, dt = 400, 0.01
         t_grid = np.arange(n_steps + 1) * dt
         inc = np.zeros((n_steps, 1))
-        xs, ks = ge.simulate_means(complex(d_nat.a_inf), 1.0, 0.5, t_grid,
-                                   p_nat, inc)
+        xs, ks = rcf.simulate_means(complex(d_nat.a_inf), 1.0, 0.5, t_grid,
+                                    p_nat, inc)
         lam, al, m, hb = (p_nat.collapse_rate, p_nat.momentum_coupling,
                           p_nat.mass, p_nat.hbar)
         T = t_grid[-1]
@@ -157,34 +163,19 @@ class TestMeans:
         assert ks[-1, 0] == pytest.approx(k_expect, rel=2e-3)
         assert xs[-1, 0] == pytest.approx(x_expect, rel=2e-3)
 
-    def test_simulate_means_matches_step_means(self, p_nat):
-        # the vectorized driver is the same recursion as the single stepper
-        g = ge.GaussianState(a=0.4 + 0.1j, xbar=0.3, kbar=-0.2)
-        rng = np.random.default_rng(8)
-        n_steps, dt = 25, 0.01
-        inc = rng.standard_normal(n_steps) * math.sqrt(dt)
-        t_grid = np.arange(n_steps + 1) * dt
-        xs, ks = ge.simulate_means(g.a, g.xbar, g.kbar, t_grid, p_nat,
-                                   inc[:, None])
-        state = g
-        for i in range(n_steps):
-            # the driver freezes the width at the step's left endpoint
-            a_i = complex(ge.a_closed_form(g.a, i * dt, p_nat))
-            state = dataclasses.replace(state, a=a_i)
-            state = ge.step_means(state, inc[i], dt, p_nat)
-        assert state.xbar == pytest.approx(xs[-1, 0], rel=1e-12)
-        assert state.kbar == pytest.approx(ks[-1, 0], rel=1e-12)
-
     def test_mean_momentum_relaxation_statistics(self, p_nat, d_nat):
         # ensemble average of kbar follows the damping law
         n, n_steps, dt = 40_000, 150, 0.01
         rng = np.random.default_rng(123)
         inc = rng.standard_normal((n_steps, n)) * math.sqrt(dt)
         t_grid = np.arange(n_steps + 1) * dt
-        xs, ks = ge.simulate_means(complex(d_nat.a_inf), 0.0, 1.0, t_grid,
-                                   p_nat, inc)
+        xs, ks = rcf.simulate_means(complex(d_nat.a_inf), 0.0, 1.0, t_grid,
+                                    p_nat, inc)
         k_end = ks[-1]
-        expect = ge.expected_momentum(1.0, t_grid[-1], p_nat)
+        c0 = ms.coefficients_from_gaussian(
+            ge.GaussianState(a=d_nat.a_inf, kbar=1.0), p_nat)
+        expect = ms.moments_from_coefficients(
+            ms.coeff_flow(c0, t_grid[-1], p_nat), p_nat).p_mean / p_nat.hbar
         se = k_end.std(ddof=1) / math.sqrt(n)
         assert abs(k_end.mean() - expect) < 3.5 * se
 
@@ -201,8 +192,14 @@ class TestCovariance:
             assert np.max(np.abs(got - want)) / scale < 1e-8
 
     def test_short_time_rates(self, p_nat, d_nat):
-        rate_qq, rate_qp, rate_pp = ge.stationary_covariance_rates(p_nat,
-                                                                   d_nat)
+        # d/dt at t = 0 of (Cqq, Cqp, Cpp): lam s^2, lam hbar c s,
+        # lam hbar^2 c^2 with s = 2 sq~^2 - alpha and c = 2 sqp~^2 / hbar
+        lam, al, hb = (p_nat.collapse_rate, p_nat.momentum_coupling,
+                       p_nat.hbar)
+        s = 2.0 * d_nat.sigma_q_bar ** 2 - al
+        c = 2.0 * d_nat.sigma_qp_bar_sq / hb
+        rate_qq, rate_qp, rate_pp = lam * s * s, lam * hb * c * s, \
+            lam * hb * hb * c * c
         t = 1e-6
         cov = ge.stationary_covariance(t, p_nat, d_nat)
         assert cov.qq == pytest.approx(rate_qq * t, rel=1e-4)
@@ -241,16 +238,19 @@ class TestCovariance:
             assert cov.qq * cov.pp - cov.qp ** 2 > 0.0
 
     def test_localization_length_decomposition(self, p_nat, d_nat):
-        ell = ge.ell(p_nat, d_nat)
-        assert ell.value == pytest.approx(ell.tilt_term + ell.width_term)
-        assert ell.width_term == pytest.approx(
-            2.0 * d_nat.sigma_q_bar ** 2 - p_nat.momentum_coupling)
-        # the linear-in-t part of the position variance grows at ell * rate
-        lam, al = p_nat.collapse_rate, p_nat.momentum_coupling
+        # Cqq grows like lam * width^2 * t at early times and like
+        # lam * (tilt + width)^2 * t once the damping time 1/(2 lam alpha)
+        # has passed: the momentum tilt adds its drift to the width term
+        lam, al, m = p_nat.collapse_rate, p_nat.momentum_coupling, p_nat.mass
+        width = 2.0 * d_nat.sigma_q_bar ** 2 - al
+        tilt = d_nat.sigma_qp_bar_sq / (lam * al * m)
         t = 1e-5
         cov = ge.stationary_covariance(t, p_nat, d_nat)
-        rate_qq = ge.stationary_covariance_rates(p_nat, d_nat)[0]
-        assert cov.qq == pytest.approx(rate_qq * t, rel=1e-3)
+        assert cov.qq == pytest.approx(lam * width ** 2 * t, rel=1e-3)
+        t1, t2 = np.array([50.0, 100.0]) / (2.0 * lam * al)
+        late = ge.stationary_covariance(np.array([t1, t2]), p_nat, d_nat)
+        slope = (late.qq[1] - late.qq[0]) / (t2 - t1)
+        assert slope == pytest.approx(lam * (tilt + width) ** 2, rel=1e-9)
 
 
 class TestEnergyAndInstability:
@@ -259,7 +259,9 @@ class TestEnergyAndInstability:
         tr = ge.spreads(g.a, p_nat)
         expect = ((p_nat.hbar * 1.2) ** 2 + tr.sigma_p ** 2) \
             / (2.0 * p_nat.mass)
-        assert ge.gaussian_energy(g, p_nat) == pytest.approx(expect)
+        got = ms.energy_from_coefficients(
+            ms.coefficients_from_gaussian(g, p_nat), p_nat)
+        assert got == pytest.approx(expect)
 
     def test_integrator_flags_blowup(self, p_nat):
         # the repulsive fixed point sits across the real axis; integrating

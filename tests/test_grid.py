@@ -8,7 +8,9 @@ from dcollapse.model import ModelParams
 from dcollapse import gaussian as ge
 from dcollapse import grid as gr
 from dcollapse import localization as lo
+from dcollapse import master as ms
 
+import reference_closed_forms as rcf
 import reference_kernel
 
 FREE = ModelParams(mass=1.0, collapse_rate=0.0, momentum_coupling=0.5,
@@ -91,8 +93,8 @@ class TestMoments:
         assert rec["sigma_q_sq"] == pytest.approx(tr.sigma_q ** 2, rel=1e-9)
         assert rec["sigma_p_sq"] == pytest.approx(tr.sigma_p ** 2, rel=1e-9)
         assert rec["sigma_qp_sq"] == pytest.approx(tr.sigma_qp_sq, rel=1e-9)
-        assert rec["energy"] == pytest.approx(ge.gaussian_energy(g, p_nat),
-                                              rel=1e-9)
+        assert rec["energy"] == pytest.approx(ms.energy_from_coefficients(
+            ms.coefficients_from_gaussian(g, p_nat), p_nat), rel=1e-9)
         assert rec["norm_sq"] == pytest.approx(1.0, rel=1e-12)
 
     def test_sigma_O_agrees_with_moment_formula(self, grid, p_nat, d_nat):
@@ -199,8 +201,8 @@ class TestPathwiseWidths:
         psi0 = gr.build_gaussian(grid, packet)
         inc = gr.NoiseStream(99, 0).increments(n_steps, dt)
         t_grid = np.arange(n_steps + 1) * dt
-        xs, ks = ge.simulate_means(packet.a, packet.xbar, packet.kbar,
-                                   t_grid, p_nat, inc[:, None])
+        xs, ks = rcf.simulate_means(packet.a, packet.xbar, packet.kbar,
+                                    t_grid, p_nat, inc[:, None])
         times, recs, _, aborted = gr.evolve_batch(
             psi0, grid, p_nat, dt, n_steps, inc[None, :],
             equation="nonlinear", record_every=10, d=d_nat)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,31 +150,38 @@ class TestStationarityResiduals:
 
 
 class TestRateBound:
+    """The localization rate lam hbar^2 (sigma_q^2 / sq~^2)^2 of a packet
+    of width sigma_q equals prefactor * m^3 sigma_q^4, with the prefactor
+    2 lam omega^2 sin^2(theta) / m of the derived constants."""
+
+    @staticmethod
+    def prefactor(p, d):
+        return 2.0 * p.collapse_rate * d.omega ** 2 * math.sin(d.theta) ** 2 \
+            / p.mass
+
     def test_stationary_value(self, p_nat, d_nat):
-        got = lo.collapse_rate_bound(d_nat.sigma_q_bar ** 2, p_nat, d_nat)
+        # at the stationary width the rate is lam hbar^2
+        s2 = d_nat.sigma_q_bar ** 2
+        got = self.prefactor(p_nat, d_nat) * p_nat.mass ** 3 * s2 ** 2
         assert got == pytest.approx(p_nat.collapse_rate * p_nat.hbar ** 2,
                                     rel=1e-12)
 
-    def test_quadratic_in_width(self, p_nat, d_nat):
-        s2 = d_nat.sigma_q_bar ** 2
-        one = lo.collapse_rate_bound(s2, p_nat, d_nat)
-        three = lo.collapse_rate_bound(3.0 * s2, p_nat, d_nat)
-        assert three == pytest.approx(9.0 * one, rel=1e-12)
-
     def test_prefactor_identity(self):
-        # bound == prefactor * m^3 * sigma_q^4 for any parameter set
+        # rate == prefactor * m^3 * sigma_q^4 for any parameter set
         rng = np.random.default_rng(0)
         for _ in range(100):
             p = random_params(rng)
             d = derive_constants(p, boltzmann=1.0)
             s2 = d.sigma_q_bar ** 2 * rng.uniform(0.2, 5.0)
-            lhs = lo.collapse_rate_bound(s2, p, d)
-            rhs = lo.collapse_rate_prefactor(p, d) * p.mass ** 3 * s2 ** 2
+            lhs = p.collapse_rate * p.hbar ** 2 * (s2 / d.sigma_q_bar ** 2) ** 2
+            rhs = self.prefactor(p, d) * p.mass ** 3 * s2 ** 2
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_prefactor_mass_invariance_and_magnitude(self):
-        vals = [lo.collapse_rate_prefactor(scale_parameters(m))
-                for m in (1.67262192369e-27, 1e-9, 1.0)]
+        vals = []
+        for m in (1.67262192369e-27, 1e-9, 1.0):
+            p = scale_parameters(m)
+            vals.append(self.prefactor(p, derive_constants(p)))
         assert vals[0] == pytest.approx(vals[1], rel=1e-10)
         assert vals[0] == pytest.approx(vals[2], rel=1e-10)
         assert vals[0] == pytest.approx(1.507789e16, rel=1e-4)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.gaussian import GaussianState, free_evolve, gaussian_energy, spreads
-from dcollapse.model import ModelParams, scale_parameters
+from dcollapse.gaussian import GaussianState, free_evolve, spreads
+from dcollapse.model import ModelParams, derive_constants, scale_parameters
 from dcollapse.numerics import rk4_path
 from dcollapse import master as ms
 
+import reference_closed_forms as rcf
 import reference_quadrature
 
 
@@ -88,7 +89,9 @@ class TestCoefficients:
             ms.purity(bad, p_nat)
 
     def test_energy_agrees_with_state_energy(self, g0, c0, p_nat):
-        want = gaussian_energy(g0, p_nat)
+        # <p^2>/2m of the state: its mean momentum and its spread
+        want = ((p_nat.hbar * g0.kbar) ** 2 + spreads(g0.a, p_nat).sigma_p ** 2) \
+            / (2.0 * p_nat.mass)
         assert ms.energy_from_coefficients(c0, p_nat) == pytest.approx(
             want, rel=1e-12)
 
@@ -174,7 +177,7 @@ class TestGreenFactors:
             ct = ms.coeff_flow(c0, t, p_nat)
             for _ in range(25):
                 k, x = rng.uniform(-4.0, 4.0, 2)
-                gf = ms.green_factors(k, x, t, p_nat)
+                gf = rcf.green_factors(k, x, t, p_nat)
                 re_t, im_t = log_char(ct, k, x)
                 re_0, im_0 = log_char(c0, gf.k0, gf.x0)
                 scale = 1.0 + abs(re_t) + abs(im_t)
@@ -185,7 +188,7 @@ class TestGreenFactors:
         p = ModelParams(mass=2.0, collapse_rate=0.3, momentum_coupling=0.0,
                         hbar=1.0)
         k, x, t = 1.2, -0.7, 0.9
-        gf = ms.green_factors(k, x, t, p)
+        gf = rcf.green_factors(k, x, t, p)
         x0 = x + k * t / p.mass
         assert gf.k0 == k
         assert gf.x0 == pytest.approx(x0, rel=1e-14)
@@ -195,7 +198,7 @@ class TestGreenFactors:
     def test_free_flow_has_unit_weight(self):
         p = ModelParams(mass=1.0, collapse_rate=0.0, momentum_coupling=0.5,
                         hbar=1.0)
-        gf = ms.green_factors(0.8, 0.5, 3.0, p)
+        gf = rcf.green_factors(0.8, 0.5, 3.0, p)
         assert gf.log_weight == 0.0
         assert gf.x0 == pytest.approx(0.5 + 0.8 * 3.0, rel=1e-14)
 
@@ -206,7 +209,7 @@ class TestGreenFactors:
     def test_weight_always_damps(self, logu, k, x, p_nat):
         u = 10.0 ** logu
         t = u / (2.0 * p_nat.collapse_rate * p_nat.momentum_coupling)
-        gf = ms.green_factors(k, x, t, p_nat)
+        gf = rcf.green_factors(k, x, t, p_nat)
         assert gf.log_weight <= 1e-12
 
 
@@ -224,6 +227,26 @@ class TestMeanEnergy:
         assert ms.mean_energy(5.0, 1e6, p_nat) == pytest.approx(e_inf,
                                                                 rel=1e-12)
         assert d_nat.energy_inf == pytest.approx(e_inf, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [1.67262192369e-27, 1e-20, 1.0])
+    def test_closed_form_matches_flow_at_laboratory_scale(self, mass):
+        # u = 2 lam alpha t from 1e-22 to saturation, with E_inf / E0 ~ 6e14:
+        # the form E_inf + (E0 - E_inf) e^{-4 lam alpha t} cancels to
+        # several percent here
+        p = scale_parameters(mass)
+        a_inf = derive_constants(p).a_inf
+        rate = 2.0 * p.collapse_rate * p.momentum_coupling
+        for g in (GaussianState(a=a_inf), GaussianState(a=4.0 * a_inf),
+                  GaussianState(a=0.25 * a_inf.real, kbar=1e8)):
+            c0 = ms.coefficients_from_gaussian(g, p)
+            e0 = ms.energy_from_coefficients(c0, p)
+            for u in np.logspace(-22.0, 2.0, 25):
+                t = u / rate
+                via_flow = ms.energy_from_coefficients(
+                    ms.coeff_flow(c0, t, p), p)
+                # energies are of order 1e-30 J, so no absolute tolerance
+                assert ms.mean_energy(e0, t, p) == pytest.approx(
+                    via_flow, rel=1e-12, abs=0.0)
 
     def test_position_noise_heats_linearly(self):
         p = ModelParams(mass=1.5, collapse_rate=0.2, momentum_coupling=0.0,
@@ -297,19 +320,19 @@ class TestPositionDensity:
         sd = math.sqrt(mom.var_q)
         x = np.linspace(mom.q_mean - 7 * sd, mom.q_mean + 7 * sd, 141)
         prof = ms.position_density(g0, t, p_nat, x, method="exact")
-        lo, hi = float(x[0]), float(x[-1])
-        total = ms.interval_probability(prof, lo, hi)
-        half = ms.interval_probability(prof, mom.q_mean, hi)
+        # x is symmetric about the mean, which is its middle point
+        centre = len(x) // 2
+
+        def prob(lo, hi):
+            return float(np.trapezoid(prof.density[lo:hi + 1], x[lo:hi + 1]))
+
+        total = prob(0, len(x) - 1)
+        half = prob(centre, len(x) - 1)
         assert total == pytest.approx(prof.norm, rel=1e-12)
         assert half == pytest.approx(0.5 * total, rel=1e-9)
-        mid = mom.q_mean + 0.7 * sd
-        assert ms.interval_probability(prof, lo, mid) \
-            + ms.interval_probability(prof, mid, hi) \
-            == pytest.approx(total, rel=1e-12)
-        # reversed and out-of-range limits
-        assert ms.interval_probability(prof, hi, lo) == pytest.approx(
+        mid = centre + 10
+        assert prob(0, mid) + prob(mid, len(x) - 1) == pytest.approx(
             total, rel=1e-12)
-        assert ms.interval_probability(prof, hi + 1.0, hi + 2.0) == 0.0
 
     def test_expansion_converges_at_short_times(self, g0, c0, p_nat):
         errs = {}

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcollapse.constants import HBAR, BOLTZMANN, NUCLEON_MASS, FundamentalConstants
 from dcollapse.model import (
-    ModelParams, UnitSystem, center_of_mass_params, derive_constants,
-    scale_parameters, uncertainty_product,
+    ModelParams, derive_constants, scale_parameters, uncertainty_product,
 )
 
 
@@ -26,15 +25,6 @@ def test_scale_parameters_mass_dependence():
     assert p2.momentum_coupling == pytest.approx(p1.momentum_coupling / 1000.0)
     assert p2.collapse_rate * p2.momentum_coupling == pytest.approx(
         p1.collapse_rate * p1.momentum_coupling)
-
-
-def test_center_of_mass_params_matches_total_mass():
-    masses = [NUCLEON_MASS] * 7
-    p = center_of_mass_params(masses)
-    q = scale_parameters(7 * NUCLEON_MASS)
-    assert p.mass == pytest.approx(q.mass)
-    assert p.collapse_rate == pytest.approx(q.collapse_rate)
-    assert p.momentum_coupling == pytest.approx(q.momentum_coupling)
 
 
 def test_derived_constants_si_values():
@@ -142,31 +132,21 @@ def test_params_validation():
                     hbar=0.0)
 
 
-def test_unit_round_trip():
-    p_si = scale_parameters(NUCLEON_MASS)
-    units = UnitSystem.natural_for(p_si)
-    p_nat = units.params_to_natural(p_si)
-    assert p_nat.hbar == pytest.approx(1.0)
-    assert p_nat.mass == pytest.approx(1.0)
-    back = units.params_to_si(p_nat)
-    assert back.mass == pytest.approx(p_si.mass, rel=1e-12)
-    assert back.collapse_rate == pytest.approx(p_si.collapse_rate, rel=1e-12)
-    assert back.momentum_coupling == pytest.approx(p_si.momentum_coupling,
-                                                   rel=1e-12)
-    assert back.hbar == pytest.approx(p_si.hbar, rel=1e-12)
-
-
 def test_natural_units_preserve_derived_shape():
-    # dimensionless combinations survive the unit change
+    # dimensionless combinations survive the change to units in which
+    # hbar = m = 1: length sqrt(alpha), time m L^2 / hbar
     p_si = scale_parameters(NUCLEON_MASS)
-    units = UnitSystem.natural_for(p_si)
-    p_nat = units.params_to_natural(p_si)
+    length = math.sqrt(p_si.momentum_coupling)
+    time = p_si.mass * length ** 2 / p_si.hbar
+    p_nat = ModelParams(mass=1.0,
+                        collapse_rate=p_si.collapse_rate * length ** 2 * time,
+                        momentum_coupling=1.0, hbar=1.0)
     d_si = derive_constants(p_si)
     d_nat = derive_constants(p_nat, boltzmann=1.0)
     assert d_nat.theta == pytest.approx(d_si.theta, rel=1e-10)
     assert d_nat.kappa == pytest.approx(d_si.kappa, rel=1e-6, abs=1e-12)
     # omega in natural units maps back to SI through the time scale
-    assert d_nat.omega / units.time == pytest.approx(d_si.omega, rel=1e-10)
+    assert d_nat.omega / time == pytest.approx(d_si.omega, rel=1e-10)
 
 
 def test_fundamental_constants_frozen():
