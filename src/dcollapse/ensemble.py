@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,23 @@ from .constants import HBAR
 from .errors import InstabilityError
 
 _FLOAT_TUPLE_FIELDS = {"centers", "weights", "kbars"}
+_KIND_NAMES = {"str": "a string", "int": "an integer", "float": "a number",
+               "tuple": "a list of numbers"}
+
+
+def _has_kind(value, kind: str) -> bool:
+    """Whether a config value has the type its field declares: a string,
+    an integer, a real number or a sequence of real numbers (a bool is
+    none of these)."""
+    if kind == "str":
+        return isinstance(value, str)
+    if kind == "tuple":
+        return isinstance(value, (tuple, list)) \
+            and all(_has_kind(v, "float") for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value,
+                      numbers.Integral if kind == "int" else numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -70,6 +88,17 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        for f_ in dataclasses.fields(self):
+            value = getattr(self, f_.name)
+            kind = f_.type.removesuffix(" | None")
+            if value is None and kind != f_.type:
+                continue
+            if not _has_kind(value, kind):
+                raise ValueError(f"{f_.name} must be {_KIND_NAMES[kind]}, "
+                                 f"got {value!r}")
+            if kind == "tuple":
+                object.__setattr__(self, f_.name,
+                                   tuple(float(v) for v in value))
         for name, allowed in (("units", ("natural", "si")),
                               ("equation", ("nonlinear", "linear")),
                               ("initial", ("gaussian", "superposition"))):
@@ -133,16 +162,7 @@ class ExperimentConfig:
         for k in d:
             if k not in names:
                 raise ValueError(f"unknown key {k!r}")
-        kw = dict(d)
-        for k in _FLOAT_TUPLE_FIELDS:
-            v = kw.get(k)
-            if v is None:
-                continue
-            if not isinstance(v, (list, tuple)) \
-                    or not all(isinstance(x, (int, float)) for x in v):
-                raise ValueError(f"{k} must be a list of numbers, got {v!r}")
-            kw[k] = tuple(float(x) for x in v)
-        return cls(**kw)
+        return cls(**d)
 
     def to_file(self, path: str) -> None:
         if path.endswith(".json"):
@@ -180,7 +200,10 @@ class ExperimentConfig:
             if key not in types:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             kw[key] = _parse_value(key, val)
-        return cls(**kw)
+        try:
+            return cls(**kw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_value(key: str, val: str):

@@ -39,19 +39,21 @@ trailing kinetic half-step of one step and the leading half-step of the
 next merge into one full kinetic factor; a step then takes psi = ifft(phi)
 and p psi = ifft(hbar k phi) back to position space and the interaction
 update forward again, 3 FFTs in all, and reads the norm off phi by
-Parseval's identity.  A record applies the pending half-step and needs 2
-FFTs: one for psi and one for p psi.  It is one fused pass: row-wise
-products of |psi|^2 with [1, x, x^2] and of |phi|^2 with [1, hbar k,
-(hbar k)^2, alias mask] give the norm, the q- and p-moments and the
-aliasing power, and the leak check reads the same |psi|^2.  The work
-buffers (phi, psi, p psi, an FFT scratch array, |psi|^2, c0 and c1) are
-allocated once per call and every FFT and elementwise update writes into
-them through out=, so the step loop allocates no (B, n) array.  Every
-reduction is a per-row dot product, never a (B, n) @ (n, k) BLAS product,
-so a trajectory gets the same bits alone as inside any batch.
-evolve_batch is the only integrator:
-a single trajectory is a batch of one, psi0 of shape (n,) and increments
-of shape (1, n_steps).
+Parseval's identity.  The inverse FFTs run unscaled, their 1/n folded
+into the kinetic factors.  A record applies the pending half-step and
+needs 2 FFTs: one for psi and one for p psi.  It stores raw row sums
+only: the products of |phi|^2 with [1, hbar k, (hbar k)^2, alias mask]
+and of |psi|^2 with [1, x, x^2], the real and imaginary parts of sum
+psi* x p psi, and the peak and edge of |psi|^2.  The moments, sigma_O_sq, the energy and the aliasing, leak and
+underflow flags follow from those sums once, after the loop, for every
+record at once.  The work buffers (phi, psi, p psi, an FFT scratch
+array, |psi|^2, c0 and c1) are allocated once per call and every FFT and
+elementwise update writes into them through out=, so the step loop
+allocates no (B, n) array.  Every reduction is a per-row dot product,
+never a (B, n) @ (n, k) BLAS product, so a trajectory gets the same bits
+alone as inside any batch.  evolve_batch is the only integrator: a
+single trajectory is a batch of one, psi0 of shape (n,) and increments of
+shape (1, n_steps).
 
 Noise is counter-based: NoiseStream(master_seed, trajectory_index) yields
 the increments of that trajectory as a pure function of the pair, so
@@ -77,6 +79,9 @@ RECORD_FIELDS = (
 _ALIAS_FRACTION = 1e-6
 _BOUNDARY_FRACTION = 1e-8
 _NORM_FLOOR = 1e-280  # a squared norm below this has underflowed
+# the columns of evolve_batch's raw record sums
+_SUMS = ("q0", "q1", "q2", "xp_re", "xp_im", "p0", "p1", "p2", "p_alias",
+         "peak", "edge")
 
 
 @dataclass(frozen=True)
@@ -201,12 +206,48 @@ def _squares(z, out):
     return np.square(z.view(float), out=out.view(float))
 
 
-def _rowdot(rows, basis):
+def _rowdot(rows, basis, out=None):
     """(B, k) products of each row of a (B, m) array with the k rows of a
     (k, m) basis, one dot product per entry, so that a row gets the same
     bits alone as inside a larger batch (a (B, m) @ (m, k) BLAS product
     does not promise that)."""
-    return np.vecdot(rows[:, None, :], basis)
+    return np.vecdot(rows[:, None, :], basis, out=out)
+
+
+def _ifft(z, out):
+    """Unscaled inverse FFT of the rows of z: n times np.fft.ifft."""
+    return np.fft.ifft(z, axis=-1, out=out, norm="forward")
+
+
+def _finish_records(sums, times, dx, c, mass):
+    """Records and per-record validity flags from the raw record sums,
+    each a (n_records, B) array computed once for every record.
+
+    sums has the _SUMS columns: the q-sums of |psi|^2 against [1, x, x^2],
+    the real and imaginary parts of sum psi* x p psi, the p-sums of
+    |phi|^2 against [1, hbar k, (hbar k)^2, alias mask], and the peak and
+    edge of |psi|^2.  A record is flagged for spectral aliasing, boundary
+    leakage or an underflowed norm (whose moments are NaN)."""
+    q0, q1, q2, xp_re, xp_im, p0, p1, p2, p_alias, peak, edge = (
+        np.moveaxis(sums, -1, 0))
+    w = q0 * dx
+    live = w > _NORM_FLOOR
+    # an underflowed row gets NaN moments instead of a division by ~0
+    scale = dx / np.where(live, w, np.nan)
+    qm, q2 = q1 * scale, q2 * scale
+    pwsum = np.where(live, p0, np.nan)
+    pm, p2 = p1 / pwsum, p2 / pwsum
+    xp = (xp_re + 1j * xp_im) * scale   # <q p>
+    oval = pm - c * qm
+    o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
+    records = np.stack([
+        np.broadcast_to(times[:, None], w.shape), qm, pm, q2 - qm * qm,
+        p2 - pm * pm, xp.real - qm * pm, o2 - np.abs(oval) ** 2,
+        p2 / (2.0 * mass), w], axis=-1)
+    # a row of zero power has no tail: 0, not 0/0
+    alias = p_alias / np.where(p0 > 0.0, p0, 1.0) > _ALIAS_FRACTION
+    leak = edge > _BOUNDARY_FRACTION**2 * peak
+    return records, alias | leak | ~live
 
 
 def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
@@ -221,16 +262,15 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
     non-finite, collapses (nonlinear) or grows a hundredfold in one step
     (linear) is flagged at that step; spectral aliasing, boundary leakage and
-    an underflowed norm (NaN moments) are checked at record times.  A
-    flagged trajectory's subsequent records are not meaningful.
+    an underflowed norm (NaN moments) are checked on every recorded state,
+    all at once after the loop.  A flagged trajectory's subsequent records
+    are not meaningful.
 
     The (B, n) work buffers are allocated once per call and every FFT and
     elementwise update writes into them, so the step loop allocates no
-    (B, n) array.  A record is one fused pass: row-wise products of
-    |psi|^2 with [1, x, x^2] and of |phi|^2 with [1, hbar k, (hbar k)^2,
-    alias mask] give the norm, every moment but <qp> and the aliasing
-    power.  psi0 and increments are not modified, and final_psi and
-    records are arrays of this call alone.
+    (B, n) array.  A record stores raw row sums only.  psi0 and increments
+    are not modified, and final_psi and records are arrays of this call
+    alone.
     """
     if equation not in ("nonlinear", "linear"):
         raise ValueError("equation must be 'nonlinear' or 'linear'")
@@ -244,28 +284,35 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
             f"({n_batch}, {n_steps}), got {increments.shape}")
     lam, hb = p.collapse_rate, p.hbar
     beta = p.momentum_coupling / hb
-    root, lam_dt = math.sqrt(lam), lam * dt
+    lam_dt = lam * dt
+    kicks = math.sqrt(lam) * increments
     x, dx, hbk = grid.x, grid.dx, hb * grid.k
-    # i beta p in the FFT basis, and the p^2 part of the interaction
+    # i beta p in the FFT basis, and the p^2 part of the interaction.  The
+    # inverse FFTs run unscaled: the kinetic factors carry their 1/n, and
+    # kappa, which acts after a kinetic factor, an n.  n is a power of two,
+    # so both scalings are exact and the states are those of a scaled ifft
+    # bit for bit.  Complex copies of the real factors spare each product
+    # a cast.
     ibp = 1j * beta * hbk
-    kappa = 0.5 * lam_dt * (beta * hbk) ** 2
-    half, full = _kinetic(grid, p, dt)
+    kappa = (grid.n * 0.5 * lam_dt * (beta * hbk) ** 2).astype(complex)
+    half, full = (f / grid.n for f in _kinetic(grid, p, dt))
+    hbk_c, x_c = hbk.astype(complex), x.astype(complex)
     parseval = dx / grid.n
     nonlinear = equation == "nonlinear"
-    # record bases, repeated pairwise for _squares; the alias mask marks
-    # the top third of the band
+    # record bases, repeated pairwise for _squares (the first two rows of
+    # qbasis also give a step's <q>); the alias mask marks the top third
+    # of the band
     kabs = np.abs(grid.k)
     qbasis = np.repeat(np.stack([np.ones_like(x), x, x * x]), 2, axis=1)
     pbasis = np.repeat(np.stack([np.ones_like(x), hbk, hbk * hbk,
                                  kabs >= (2.0 / 3.0) * kabs.max()]),
                        2, axis=1)
-    # O = p - c q with c = 2 i hbar a_inf
-    c = 2j * hb * d.a_inf
+    edge_cols = [0, 1, grid.n - 2, grid.n - 1]
 
     # phi carries the state after each step's interaction update, so that
     # the trailing kinetic half-step merges with the next leading one;
     # ppsi holds i beta p psi in a step and x p psi in a record, and the
-    # _squares of psi go to scratch in a step and to ppsi in a record
+    # _squares go to scratch in a step and to ppsi in a record
     phi = np.fft.fft(psi, axis=-1)
     ppsi, scratch = np.empty_like(psi), np.empty_like(psi)
     prob = np.empty(psi.shape)
@@ -277,61 +324,49 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     cbasis = np.stack([np.ones_like(x), x, -0.5 * lam_dt * x * x])
 
     rec_steps = record_steps(n_steps, record_every)
-    records = np.empty((len(rec_steps), n_batch, len(RECORD_FIELDS)))
+    sums = np.empty((len(rec_steps), n_batch, len(_SUMS)))
     aborted = np.zeros(n_batch, dtype=bool)
 
     def take_record(slot, spec):
-        """Record the state in psi, whose spectrum is spec, into slot and
-        flag its rows; spec may be scratch itself."""
-        ps = _rowdot(_squares(spec, ppsi), pbasis)
+        """Write the raw sums of the state in psi into slot (columns as in
+        _SUMS); spec is the spectrum of psi divided by n, and may be
+        scratch itself."""
+        out = sums[slot]
+        _rowdot(_squares(spec, ppsi), pbasis, out=out[:, 5:9])
         sq = _squares(psi, ppsi)
-        qs = _rowdot(sq, qbasis)
         np.add(sq[:, 0::2], sq[:, 1::2], out=prob)
-        np.multiply(spec, hbk, out=scratch)
-        np.fft.ifft(scratch, axis=-1, out=ppsi)
-        np.multiply(ppsi, x, out=ppsi)
-        w = qs[:, 0] * dx
-        live = w > _NORM_FLOOR
-        # an underflowed row gets NaN moments instead of a division by ~0
-        scale = dx / np.where(live, w, np.nan)
-        qm, q2 = qs[:, 1] * scale, qs[:, 2] * scale
-        pwsum = np.where(live, ps[:, 0], np.nan)
-        pm, p2 = ps[:, 1] / pwsum, ps[:, 2] / pwsum
-        xp = np.vecdot(psi, ppsi) * scale   # <q p>
-        oval = pm - c * qm
-        o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
-        records[slot] = np.stack([
-            np.full(n_batch, rec_steps[slot] * dt), qm, pm, q2 - qm * qm,
-            p2 - pm * pm, xp.real - qm * pm, o2 - np.abs(oval) ** 2,
-            p2 / (2.0 * p.mass), w], axis=-1)
-        # a row of zero power has no tail: 0, not 0/0
-        alias = (ps[:, 3] / np.where(ps[:, 0] > 0.0, ps[:, 0], 1.0)
-                 > _ALIAS_FRACTION)
-        peak = prob.max(axis=-1)
-        edge = np.maximum(prob[:, :2].max(axis=-1), prob[:, -2:].max(axis=-1))
-        leak = edge > _BOUNDARY_FRACTION**2 * peak
-        np.logical_or(aborted, alias | leak | ~live, out=aborted)
+        _rowdot(sq, qbasis, out=out[:, 0:3])
+        np.max(prob, axis=-1, out=out[:, 9])
+        np.max(prob[:, edge_cols], axis=-1, out=out[:, 10])
+        np.multiply(spec, hbk_c, out=scratch)
+        _ifft(scratch, ppsi)
+        np.multiply(ppsi, x_c, out=ppsi)
+        xp = np.vecdot(psi, ppsi)
+        out[:, 3] = xp.real
+        out[:, 4] = xp.imag
 
-    take_record(0, phi)
-    prev_norm = records[0, :, -1]   # norm_sq
+    np.multiply(phi, 1.0 / grid.n, out=scratch)
+    take_record(0, scratch)
+    prev_norm = sums[0, :, 0] * dx   # the linear growth check's reference
     slot = 1
     for step in range(1, n_steps + 1):
         np.multiply(phi, half if step == 1 else full, out=phi)
-        np.fft.ifft(phi, axis=-1, out=psi)
+        _ifft(phi, psi)
         np.multiply(phi, ibp, out=scratch)
-        np.fft.ifft(scratch, axis=-1, out=ppsi)
-        dxi = increments[:, step - 1]
+        _ifft(scratch, ppsi)
+        kick = kicks[:, step - 1]
         if nonlinear:
             q01 = _rowdot(_squares(psi, scratch), qbasis[:2])
             # a zero row keeps r = 0 instead of 0/0; its norm aborts it
             r = q01[:, 1] / np.where(q01[:, 0] > 0.0, q01[:, 0], 1.0)
         else:
             r = 0.0
-        # c0 = 1 + xc (root dxi - lam dt xc / 2) and c1 = root dxi
-        # - lam dt xc, the real factor of i beta p psi, spelt out in powers
-        # of x (xc = x - r): rows of coeffs against [1, x, -lam dt x^2 / 2]
-        s_r = root * dxi + lam_dt * r
-        coeffs[:, 0, 0] = 1.0 - r * (root * dxi + 0.5 * lam_dt * r)
+        # c0 = 1 + xc (kick - lam dt xc / 2) and c1 = kick - lam dt xc,
+        # the real factor of i beta p psi, with kick = sqrt(lam) dxi,
+        # spelt out in powers of x (xc = x - r): rows of coeffs against
+        # [1, x, -lam dt x^2 / 2]
+        s_r = kick + lam_dt * r
+        coeffs[:, 0, 0] = 1.0 - r * (kick + 0.5 * lam_dt * r)
         coeffs[:, 0, 1] = s_r
         coeffs[:, 1, 0] = s_r
         np.matmul(coeffs, cbasis, out=c01.transpose(1, 0, 2))
@@ -353,10 +388,14 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         np.logical_or(aborted, bad, out=aborted)
         if step == rec_steps[slot]:
             np.multiply(phi, half, out=scratch)
-            np.fft.ifft(scratch, axis=-1, out=psi)
+            _ifft(scratch, psi)
             take_record(slot, scratch)
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
+    # O = p - c q with c = 2 i hbar a_inf
+    records, invalid = _finish_records(sums, times, dx, 2j * hb * d.a_inf,
+                                       p.mass)
+    np.logical_or(aborted, invalid.any(axis=0), out=aborted)
     return times, records, psi, aborted
 
 

@@ -279,6 +279,26 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "centers must be a list of numbers" in err
 
+    def test_json_config_wrong_type_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n_steps": "abc"}\n')
+        rc = cli.main(["constants", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "n_steps must be an integer, got 'abc'" in err
+
+    def test_flat_config_wrong_type_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_steps = abc\n")
+        rc = cli.main(["constants", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "n_steps must be an integer, got 'abc'" in err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

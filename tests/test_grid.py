@@ -323,6 +323,44 @@ class TestGuards:
                 else:
                     assert (recs[:, 0, -1] == 0.0).all()
 
+    def test_leak_at_an_intermediate_record_flags_its_row_alone(self):
+        # free motion carries the first packet across the periodic edge at
+        # x = 40 and on to x = -20 by the end, clear of both edges at the
+        # first and last records; only a record in between sees it leak
+        box = gr.Grid(-40.0, 40.0, 1024)
+        mover = gr.build_gaussian(box, ge.GaussianState(a=0.0625, xbar=20.0,
+                                                        kbar=20.0))
+        still = gr.build_gaussian(box, ge.GaussianState(a=0.0625, xbar=0.0,
+                                                        kbar=0.0))
+        psi0 = np.stack([mover, still])
+        qm = gr.RECORD_FIELDS.index("q_mean")
+        for every, want in ((200, [False, False]), (100, [True, False])):
+            _, recs, _, aborted = gr.evolve_batch(
+                psi0, box, FREE, 0.01, 200, np.zeros((2, 200)),
+                record_every=every)
+            assert aborted.tolist() == want
+            assert recs[0, 0, qm] == pytest.approx(20.0, abs=1e-9)
+            assert recs[-1, 0, qm] == pytest.approx(-20.0, abs=1e-9)
+
+    @pytest.mark.parametrize("amp", [1e-130, 1e120])
+    def test_scaled_input_gives_the_normalised_records(self, grid, p_nat,
+                                                       d_nat, packet, amp):
+        # with one record at each end, a nonlinear row far from unit norm
+        # (but above the underflow floor) is renormalised by its first step
+        # and then follows the normalised input
+        psi = gr.build_gaussian(grid, packet)
+        inc = gr.NoiseStream(6, 0).increments(40, 0.01)[None, :]
+        run = dict(equation="nonlinear", record_every=40, d=d_nat)
+        _, want, want_psi, want_aborted = gr.evolve_batch(
+            psi, grid, p_nat, 0.01, 40, inc, **run)
+        _, recs, final, aborted = gr.evolve_batch(
+            amp * psi, grid, p_nat, 0.01, 40, inc, **run)
+        assert not want_aborted[0] and not aborted[0]
+        assert np.max(np.abs(recs[1:] - want[1:])) < 1e-13
+        assert np.max(np.abs(final - want_psi)) < 1e-13
+        assert recs[0, 0, -1] == pytest.approx(amp ** 2, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(recs[0, 0, 1:-1] - want[0, 0, 1:-1])) < 1e-13
+
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
     def test_nonfinite_row_aborts_alone(self, grid, p_nat, d_nat, packet,
                                         equation):
@@ -414,6 +452,18 @@ class TestRecordSteps:
                                             record_every=3, d=d_nat)
         assert np.allclose(times, [0.0, 0.03, 0.06, 0.07], atol=1e-12)
         assert np.array_equal(recs[:, 0, gr.RECORD_FIELDS.index("t")], times)
+
+    def test_time_column_is_record_steps_times_dt(self, grid, p_nat, d_nat,
+                                                  packet):
+        # exactly the product, not a running sum: 3 * 0.1 is not 0.3
+        psi0 = np.stack([gr.build_gaussian(grid, packet)] * 3)
+        inc = np.zeros((3, 7))
+        times, recs, _, _ = gr.evolve_batch(psi0, grid, p_nat, 0.1, 7, inc,
+                                            record_every=3, d=d_nat)
+        want = np.asarray(gr.record_steps(7, 3)) * 0.1
+        assert np.array_equal(times, want)
+        assert np.array_equal(recs[:, :, gr.RECORD_FIELDS.index("t")],
+                              np.repeat(want[:, None], 3, axis=1))
 
 
 class TestReferenceKernel:

@@ -13,7 +13,7 @@ from dcollapse.model import (
 def test_scale_parameters_reference_mass():
     p = scale_parameters(NUCLEON_MASS)
     assert p.collapse_rate == pytest.approx(1e-2)
-    assert p.momentum_coupling == pytest.approx(1e-18)
+    assert p.momentum_coupling == pytest.approx(1e-18, rel=1e-12, abs=0.0)
     assert p.hbar == HBAR
 
 
@@ -22,16 +22,17 @@ def test_scale_parameters_mass_dependence():
     p1 = scale_parameters(NUCLEON_MASS)
     p2 = scale_parameters(1000.0 * NUCLEON_MASS)
     assert p2.collapse_rate == pytest.approx(1000.0 * p1.collapse_rate)
-    assert p2.momentum_coupling == pytest.approx(p1.momentum_coupling / 1000.0)
+    assert p2.momentum_coupling == pytest.approx(
+        p1.momentum_coupling / 1000.0, rel=1e-12, abs=0.0)
     assert p2.collapse_rate * p2.momentum_coupling == pytest.approx(
-        p1.collapse_rate * p1.momentum_coupling)
+        p1.collapse_rate * p1.momentum_coupling, rel=1e-12, abs=0.0)
 
 
 def test_derived_constants_si_values():
     d = derive_constants(scale_parameters(NUCLEON_MASS))
     assert d.omega == pytest.approx(5.021912987305437e-05, rel=1e-12)
     assert d.theta == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert d.kappa == pytest.approx(5.632170712427685e-16, rel=1e-9)
+    assert d.kappa == pytest.approx(5.632170712427685e-16, rel=1e-9, abs=0.0)
     assert d.sigma_q_bar == pytest.approx(0.035432728469966285, rel=1e-12)
     assert d.temperature == pytest.approx(0.12039577943343933, rel=1e-12)
     assert d.energy_inf == pytest.approx(
@@ -144,7 +145,7 @@ def test_natural_units_preserve_derived_shape():
     d_si = derive_constants(p_si)
     d_nat = derive_constants(p_nat, boltzmann=1.0)
     assert d_nat.theta == pytest.approx(d_si.theta, rel=1e-10)
-    assert d_nat.kappa == pytest.approx(d_si.kappa, rel=1e-6, abs=1e-12)
+    assert d_nat.kappa == pytest.approx(d_si.kappa, rel=1e-6, abs=0.0)
     # omega in natural units maps back to SI through the time scale
     assert d_nat.omega / time == pytest.approx(d_si.omega, rel=1e-10)
 

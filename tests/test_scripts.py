@@ -1,5 +1,6 @@
-"""The study scripts run end to end on small inputs and write their CSVs."""
+"""The scripts run end to end on small inputs and write their outputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,16 @@ class TestScripts:
         assert "averaged 8 trajectories" in out.stdout
         assert header(tmp_path / "profiles.csv") == \
             "x,ensemble,exact,expansion,smoothed,free"
+
+    def test_record_replay(self, tmp_path):
+        # this tree against itself: both sides load and give equal records
+        out = run_script("record_replay.py", "--base",
+                         os.path.join(ROOT, "src"), "--n", "64", "--batch",
+                         "2", "--steps", "4", "--rounds", "2", "--json",
+                         str(tmp_path / "replay.json"))
+        assert out.returncode == 0, out.stderr
+        assert "record_us" in out.stdout
+        with open(tmp_path / "replay.json") as f:
+            result = json.load(f)
+        assert result["max_abs_record_diff"] == 0.0
+        assert len(result["rounds"]["head"]["step_us"]) == 2
