@@ -1,12 +1,12 @@
 """Ensemble-averaged position density vs the closed-form predictions.
 
-Runs a modest batch of trajectories from a single Gaussian start, averages
-the normalized |psi|^2 profiles at the final time, and compares against the
-'exact', 'expansion', 'smoothed' and 'free' density routes.  Antithetic
-noise pairs [W, -W] cut the sampling error roughly in half for the same
-budget.
+Runs an ensemble of nonlinear trajectories from a single Gaussian start
+through run_ensemble, takes its mean normalized |psi|^2 at the final time,
+and compares it against the 'exact', 'expansion', 'smoothed' and 'free'
+density routes.  The trajectories are independent: there is no antithetic
+pairing, so the sampling error is that of n_traj plain draws.
 
-    python scripts/density_comparison.py --n-pairs 1000 --out results/density
+    python scripts/density_comparison.py --n-traj 2000 --out results/density
 """
 
 import argparse
@@ -14,18 +14,15 @@ import os
 
 import numpy as np
 
-from dcollapse import grid as gr
 from dcollapse import master as ms
-from dcollapse.gaussian import GaussianState
-from dcollapse.model import ModelParams, derive_constants
+from dcollapse.ensemble import ExperimentConfig, run_ensemble
 
 METHODS = ("exact", "expansion", "smoothed", "free")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-pairs", type=int, default=1000,
-                    help="antithetic pairs; trajectories = 2x this")
+    ap.add_argument("--n-traj", type=int, default=2000)
     ap.add_argument("--batch", type=int, default=250)
     ap.add_argument("--steps", type=int, default=200)
     ap.add_argument("--dt", type=float, default=0.005)
@@ -36,44 +33,28 @@ def main():
     ap.add_argument("--out", default="density_comparison")
     args = ap.parse_args()
 
-    p = ModelParams(mass=1.0, collapse_rate=args.collapse_rate,
-                    momentum_coupling=args.momentum_coupling, hbar=1.0)
-    d = derive_constants(p, boltzmann=1.0)
-    grid = gr.Grid(-16.0, 16.0, 256)
+    cfg = ExperimentConfig(
+        collapse_rate=args.collapse_rate,
+        momentum_coupling=args.momentum_coupling, kbar0=args.kbar0,
+        x_min=-16.0, x_max=16.0, n_points=256, dt=args.dt,
+        n_steps=args.steps, record_every=args.steps,
+        n_trajectories=args.n_traj, batch_size=args.batch,
+        master_seed=args.seed)
+    summary = run_ensemble(cfg)
+    if summary.n_aborted:
+        print(f"warning: {summary.n_aborted} aborted trajectories dropped")
+    x, dens = summary.density_x, summary.density
+    dx = x[1] - x[0]
     t_final = args.steps * args.dt
-
-    g0 = GaussianState(a=d.a_inf, xbar=0.0, kbar=args.kbar0)
-    psi0 = gr.build_gaussian(grid, g0)
-
-    acc = np.zeros(grid.n)
-    n_run = 0
-    for start in range(0, args.n_pairs, args.batch):
-        nb = min(args.batch, args.n_pairs - start)
-        base = np.stack([
-            gr.NoiseStream(args.seed, start + j).increments(args.steps,
-                                                            args.dt)
-            for j in range(nb)
-        ])
-        inc = np.concatenate([base, -base])
-        psis = np.broadcast_to(psi0, (2 * nb, grid.n)).copy()
-        _, _, fin, ab = gr.evolve_batch(psis, grid, p, args.dt, args.steps,
-                                        inc, "nonlinear",
-                                        record_every=args.steps, d=d)
-        if ab.any():
-            print(f"warning: {int(ab.sum())} aborted trajectories dropped")
-            fin = fin[~ab]
-        prob = np.abs(fin) ** 2
-        prob /= prob.sum(axis=1, keepdims=True) * grid.dx
-        acc += prob.sum(axis=0)
-        n_run += prob.shape[0]
-    dens = acc / n_run
-    print(f"averaged {n_run} trajectories to t = {t_final:g}")
+    print(f"averaged {args.n_traj - summary.n_aborted} trajectories "
+          f"to t = {t_final:g}")
 
     profiles = {}
     for method in METHODS:
-        prof = ms.position_density(g0, t_final, p, grid.x, method=method)
+        prof = ms.position_density(cfg.initial_gaussian(), t_final,
+                                   cfg.params(), x, method=method)
         profiles[method] = prof.density
-        l1 = float(np.abs(dens - prof.density).sum() * grid.dx)
+        l1 = float(np.abs(dens - prof.density).sum() * dx)
         print(f"L1(ensemble, {method:10s}) = {l1:.5f}   "
               f"(profile norm {prof.norm:.6f})")
 
@@ -81,9 +62,9 @@ def main():
     path = os.path.join(args.out, "profiles.csv")
     with open(path, "w") as f:
         f.write("x,ensemble," + ",".join(METHODS) + "\n")
-        for i in range(grid.n):
+        for i in range(len(x)):
             vals = ",".join(f"{profiles[m][i]:.8g}" for m in METHODS)
-            f.write(f"{grid.x[i]:.6g},{dens[i]:.8g},{vals}\n")
+            f.write(f"{x[i]:.6g},{dens[i]:.8g},{vals}\n")
     print(f"wrote {path}")
 
 

@@ -22,6 +22,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -239,10 +240,6 @@ class EnsembleSummary:
     density: np.ndarray
     config: ExperimentConfig
 
-    def column(self, name: str, which: str = "mean") -> np.ndarray:
-        j = RECORD_FIELDS.index(name)
-        return (self.mean if which == "mean" else self.sem)[:, j]
-
     def to_json(self) -> str:
         cfg = self.config.to_dict()
         cfg.pop("n_workers", None)  # scheduling detail, not physics
@@ -318,30 +315,10 @@ def _run_batch(cfg: ExperimentConfig, start: int, count: int):
         psi, grid, p, cfg.dt, cfg.n_steps, incr, equation=cfg.equation,
         record_every=cfg.record_every, d=d,
     )
-    ok = ~aborted
     prob = np.abs(final_psi) ** 2
     norm = prob.sum(axis=-1, keepdims=True) * grid.dx
     prob = prob / norm
-    density_sum = prob[ok].sum(axis=0)
-    return {
-        "start": start,
-        "times": times,
-        "records": records,
-        "aborted": aborted,
-        "density_sum": density_sum,
-        "n_ok": int(ok.sum()),
-    }
-
-
-def _batch_args(cfg: ExperimentConfig):
-    starts = list(range(0, cfg.n_trajectories, cfg.batch_size))
-    return [(cfg, s, min(cfg.batch_size, cfg.n_trajectories - s))
-            for s in starts]
-
-
-def _worker(args):
-    cfg, start, count = args
-    return _run_batch(cfg, start, count)
+    return times, records, aborted, prob[~aborted].sum(axis=0)
 
 
 def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
@@ -353,31 +330,27 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     flagged, not removed).  Raises InstabilityError when every trajectory
     aborts, since there is nothing left to average.
     """
-    args = _batch_args(cfg)
+    starts = range(0, cfg.n_trajectories, cfg.batch_size)
+    sizes = [min(cfg.batch_size, cfg.n_trajectories - s) for s in starts]
+    # both maps return the batches in start order
     if cfg.n_workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.n_workers) as ex:
-            results = list(ex.map(_worker, args))
+            results = list(ex.map(_run_batch, repeat(cfg), starts, sizes))
     else:
-        results = [_worker(a) for a in args]
-    results.sort(key=lambda r: r["start"])
+        results = list(map(_run_batch, repeat(cfg), starts, sizes))
 
-    times = results[0]["times"]
-    records = np.concatenate([r["records"] for r in results], axis=1)
-    aborted = np.concatenate([r["aborted"] for r in results])
+    times, records, aborted, density_sums = zip(*results)
+    times = times[0]
+    records = np.concatenate(records, axis=1)
+    aborted = np.concatenate(aborted)
     if aborted.all():
         raise InstabilityError(
             f"all {aborted.size} trajectories aborted (norm loss or growth, "
             "aliasing, or leakage at the box edge); try a smaller dt or a "
             "wider box (x_min, x_max)")
-    density_sum = np.zeros_like(results[0]["density_sum"])
-    n_ok = 0
-    for r in results:
-        density_sum = density_sum + r["density_sum"]
-        n_ok += r["n_ok"]
-    grid = cfg.grid()
-    density = density_sum / n_ok
-
     ok = ~aborted
+    grid = cfg.grid()
+    density = sum(density_sums) / ok.sum()
     kept = records[:, ok, :]
     nv = kept.shape[1]
     mean = kept.mean(axis=1)

@@ -4,15 +4,15 @@ The collapse ensemble used by the reduction and drift-law acceptance tests
 is expensive (10^3 grid trajectories), so it is built once per session.
 """
 
-import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from dcollapse.ensemble import EnsembleSummary, ExperimentConfig, run_ensemble
+from dcollapse.grid import RECORD_FIELDS
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
-from dcollapse import gaussian as ge
-from dcollapse import grid as gr
 
 
 NATURAL = dict(mass=1.0, collapse_rate=0.1, momentum_coupling=0.5, hbar=1.0)
@@ -38,54 +38,36 @@ def d_si(p_si):
     return derive_constants(p_si)
 
 
+@dataclass(frozen=True)
 class CollapseRun:
-    """Container for the shared two-branch collapse ensemble."""
+    """The shared two-branch collapse ensemble: its config, what
+    run_ensemble returns, and the wall seconds the run took."""
 
-    def __init__(self, p, d, grid, times, records, aborted, weights, dt,
-                 elapsed=0.0):
-        self.p = p
-        self.d = d
-        self.grid = grid
-        self.times = times
-        self.records = records  # (n_rec, B, len(RECORD_FIELDS))
-        self.aborted = aborted
-        self.weights = weights
-        self.dt = dt
-        self.elapsed = elapsed  # wall seconds spent generating the ensemble
+    cfg: ExperimentConfig
+    summary: EnsembleSummary
+    records: np.ndarray  # (n_rec, n_traj, len(RECORD_FIELDS))
+    aborted: np.ndarray
+    elapsed: float
 
     def column(self, name):
-        return self.records[:, :, gr.RECORD_FIELDS.index(name)]
+        return self.records[:, :, RECORD_FIELDS.index(name)]
 
 
 @pytest.fixture(scope="session")
-def collapse_run(p_nat, d_nat):
+def collapse_run():
     """10^3 nonlinear trajectories from a two-Gaussian superposition.
 
     900 steps of dt = 0.008; reduction itself is complete after a few
     hundred steps, the rest of the run watches the localized packets
-    diffuse.  Records every 5 steps.
+    diffuse.  Records every 5 steps.  The model is NATURAL, so p_nat and
+    d_nat describe it.
     """
+    cfg = ExperimentConfig(
+        **NATURAL, initial="superposition", centers=(-5.0, 5.0),
+        weights=(0.3, 0.7), x_min=-32.0, x_max=32.0, n_points=256,
+        dt=0.008, n_steps=900, record_every=5, n_trajectories=1000,
+        master_seed=20250, n_workers=2)
     t_start = time.perf_counter()
-    grid = gr.Grid(-32.0, 32.0, 256)
-    weights = (0.3, 0.7)
-    psi = gr.build_superposition(grid, d_nat.a_inf, [-5.0, 5.0], weights)
-    n_traj, n_steps, dt = 1000, 900, 0.008
-    batch = 250
-    all_records = []
-    all_aborted = []
-    times = None
-    for start in range(0, n_traj, batch):
-        inc = np.stack([
-            gr.NoiseStream(20250, start + j).increments(n_steps, dt)
-            for j in range(batch)
-        ])
-        psis = np.broadcast_to(psi, (batch, grid.n)).copy()
-        times, records, _, aborted = gr.evolve_batch(
-            psis, grid, p_nat, dt, n_steps, inc, "nonlinear",
-            record_every=5, d=d_nat)
-        all_records.append(records)
-        all_aborted.append(aborted)
-    records = np.concatenate(all_records, axis=1)
-    aborted = np.concatenate(all_aborted)
-    return CollapseRun(p_nat, d_nat, grid, times, records, aborted,
-                       weights, dt, elapsed=time.perf_counter() - t_start)
+    summary, records, aborted = run_ensemble(cfg, return_records=True)
+    return CollapseRun(cfg, summary, records, aborted,
+                       time.perf_counter() - t_start)

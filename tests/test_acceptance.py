@@ -120,29 +120,17 @@ class TestWidthFlow:
 
 class TestLinearNormMartingale:
     def test_mean_squared_norm_is_one(self):
-        p = ModelParams(mass=1.0, collapse_rate=0.05, momentum_coupling=0.5,
-                        hbar=1.0)
-        d = derive_constants(p, boltzmann=1.0)
-        grid = gr.Grid(-24.0, 24.0, 256)
-        psi0 = gr.build_superposition(grid, d.a_inf, [0.0], [1.0])
-        n_traj, n_steps, dt, batch = 10_000, 200, 0.01, 500
-        i_n = gr.RECORD_FIELDS.index("norm_sq")
+        cfg = ExperimentConfig(
+            collapse_rate=0.05, equation="linear", initial="superposition",
+            centers=(0.0,), weights=(1.0,), x_min=-24.0, x_max=24.0,
+            n_points=256, dt=0.01, n_steps=200, record_every=200,
+            n_trajectories=10_000, master_seed=777, n_workers=2)
         t0 = time.perf_counter()
-        norms = []
-        for start in range(0, n_traj, batch):
-            inc = np.stack([
-                gr.NoiseStream(777, start + j).increments(n_steps, dt)
-                for j in range(batch)
-            ])
-            psis = np.broadcast_to(psi0, (batch, grid.n)).copy()
-            _, rec, _, ab = gr.evolve_batch(psis, grid, p, dt, n_steps, inc,
-                                            "linear", record_every=n_steps,
-                                            d=d)
-            assert not ab.any()
-            norms.append(rec[-1, :, i_n])
-        norms = np.concatenate(norms)
+        _, records, aborted = run_ensemble(cfg, return_records=True)
         elapsed = time.perf_counter() - t0
-        se = norms.std(ddof=1) / math.sqrt(n_traj)
+        assert not aborted.any()
+        norms = records[-1, :, gr.RECORD_FIELDS.index("norm_sq")]
+        se = norms.std(ddof=1) / math.sqrt(norms.size)
         z = (norms.mean() - 1.0) / se
         print(f"E[norm^2]={norms.mean():.6f} se={se:.6f} z={z:+.3f} "
               f"[{elapsed:.0f} s]")
@@ -151,14 +139,15 @@ class TestLinearNormMartingale:
 
 
 class TestSuperpositionReduction:
-    def test_single_packet_and_born_statistics(self, collapse_run):
+    def test_single_packet_and_born_statistics(self, collapse_run, d_nat):
         run = collapse_run
         assert run.aborted.sum() == 0
         sig_q = np.sqrt(run.column("sigma_q_sq"))
-        within = np.abs(sig_q - run.d.sigma_q_bar) <= 0.05 * run.d.sigma_q_bar
+        within = np.abs(sig_q - d_nat.sigma_q_bar) <= 0.05 * d_nat.sigma_q_bar
 
         frac_final = within[-1].mean()
-        i500 = int(round(500 * run.dt / (run.times[1] - run.times[0])))
+        times = run.summary.times
+        i500 = int(round(500 * run.cfg.dt / (times[1] - times[0])))
         frac_500 = within[i500].mean()
         print(f"localized fraction: {frac_500:.4f} at step 500, "
               f"{frac_final:.4f} at the end [{run.elapsed:.0f} s ensemble]")
@@ -174,7 +163,7 @@ class TestSuperpositionReduction:
         seal = np.minimum(last_not + 1, n_rec - 1)
         localized = within[-1]
         picks = qm[seal, np.arange(n_traj)][localized] > 0.0
-        w_right = run.weights[1]
+        w_right = run.cfg.weights[1]
         se = math.sqrt(w_right * (1 - w_right) / picks.size)
         z = (picks.mean() - w_right) / se
         print(f"right-branch fraction {picks.mean():.4f} vs weight "
@@ -184,20 +173,21 @@ class TestSuperpositionReduction:
 
 
 class TestVarianceContractionLaw:
-    def test_drift_matches_prediction_at_checkpoints(self, collapse_run):
+    def test_drift_matches_prediction_at_checkpoints(self, collapse_run,
+                                                     p_nat, d_nat):
         run = collapse_run
         sq2 = run.column("sigma_q_sq")
         sp2 = run.column("sigma_p_sq")
         sqp2 = run.column("sigma_qp_sq")
         so = run.column("sigma_O_sq")
-        dt_rec = run.times[1] - run.times[0]
+        dt_rec = run.summary.times[1] - run.summary.times[0]
         n_traj = so.shape[1]
         worst = 0.0
         for j in range(10):
             t_ck = 1.0 + 0.6 * j
             i = int(round(t_ck / dt_rec))
             fd = (so[i + 1] - so[i - 1]) / (2.0 * dt_rec)
-            pred = loc.drift_prediction(sq2[i], sp2[i], sqp2[i], run.p, run.d)
+            pred = loc.drift_prediction(sq2[i], sp2[i], sqp2[i], p_nat, d_nat)
             assert np.all(pred <= 0.0)
             diff = fd - pred
             z = diff.mean() / (diff.std(ddof=1) / math.sqrt(n_traj))
@@ -270,18 +260,19 @@ class TestCharacteristicFlow:
     def test_trajectory_average_matches_density(self, p_nat, d_nat):
         grid = gr.Grid(-16.0, 16.0, 256)
         psi0 = gr.build_superposition(grid, d_nat.a_inf, [0.0], [1.0])
-        n_pairs, n_steps, dt, batch = 5000, 200, 0.005, 500
+        n_pairs, n_steps, dt, batch = 5000, 200, 0.005, 64
         t0 = time.perf_counter()
         acc = np.zeros(grid.n)
         for start in range(0, n_pairs, batch):
+            nb = min(batch, n_pairs - start)
             base = np.stack([
                 gr.NoiseStream(4040, start + j).increments(n_steps, dt)
-                for j in range(batch)
+                for j in range(nb)
             ])
             # antithetic pairing keeps the n=10^4 histogram noise well under
             # the comparison tolerance
             inc = np.concatenate([base, -base])
-            psis = np.broadcast_to(psi0, (2 * batch, grid.n)).copy()
+            psis = np.broadcast_to(psi0, (2 * nb, grid.n)).copy()
             _, _, fin, ab = gr.evolve_batch(psis, grid, p_nat, dt, n_steps,
                                             inc, "nonlinear",
                                             record_every=n_steps, d=d_nat)

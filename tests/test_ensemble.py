@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dcollapse.grid import RECORD_FIELDS, NoiseStream, build_superposition
+from dcollapse.grid import (RECORD_FIELDS, NoiseStream, build_superposition,
+                            evolve_batch)
 from dcollapse import ensemble as en
 from dcollapse import master as ms
 from dcollapse.errors import InstabilityError
@@ -133,13 +134,6 @@ class TestRunEnsemble:
         assert summary.n_aborted == 0
         assert aborted.shape == (24,)
 
-    def test_column_accessor(self, small_run):
-        summary, _, _ = small_run
-        j = RECORD_FIELDS.index("q_mean")
-        assert np.array_equal(summary.column("q_mean"), summary.mean[:, j])
-        assert np.array_equal(summary.column("q_mean", which="sem"),
-                              summary.sem[:, j])
-
     def test_density_normalized_and_hist_complete(self, small_run):
         summary, _, _ = small_run
         dx = float(summary.density_x[1] - summary.density_x[0])
@@ -151,6 +145,22 @@ class TestRunEnsemble:
         one = en.run_ensemble(SMALL.replace(n_workers=1)).to_json()
         three = en.run_ensemble(SMALL.replace(n_workers=3)).to_json()
         assert one == three
+
+    def test_records_are_in_trajectory_order_across_workers(self):
+        # ragged batches on two workers: row i is still trajectory i, with
+        # the bits it gets alone
+        cfg = SMALL.replace(n_workers=2, batch_size=7)
+        _, records, aborted = en.run_ensemble(cfg, return_records=True)
+        grid = cfg.grid()
+        psi0 = cfg.initial_psi(grid)
+        for i in range(cfg.n_trajectories):
+            inc = NoiseStream(cfg.master_seed, i).increments(cfg.n_steps,
+                                                             cfg.dt)
+            _, rec, _, ab = evolve_batch(psi0, grid, cfg.params(), cfg.dt,
+                                         cfg.n_steps, inc[None, :],
+                                         record_every=cfg.record_every)
+            assert np.array_equal(records[:, i], rec[:, 0]), i
+            assert aborted[i] == ab[0]
 
     def test_seed_changes_results(self):
         one = en.run_ensemble(SMALL).to_json()

@@ -34,7 +34,7 @@ class TestScripts:
             "trajectory,settled,t_reduce,branch_right"
 
     def test_density_comparison(self, tmp_path):
-        out = run_script("density_comparison.py", "--n-pairs", "4",
+        out = run_script("density_comparison.py", "--n-traj", "8",
                          "--batch", "4", "--steps", "20", "--out",
                          str(tmp_path))
         assert out.returncode == 0, out.stderr
