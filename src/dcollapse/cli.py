@@ -4,9 +4,15 @@ Subcommands:
     constants   derived stationary constants for a parameter set
     gaussian    closed-form width/spread relaxation curves
     trajectory  one stochastic grid trajectory, moment records
-    ensemble    batched ensemble run with summary statistics
+    ensemble    batched ensemble run with summary statistics; a nonlinear
+                superposition run also writes its localization curve and
+                per-trajectory branch outcomes and prints the branch
+                fractions against the Born weights, a nonlinear Gaussian
+                run prints the L1 distance of its final density to each
+                master density route
     master      closed-form master-equation coefficient flow
-    density     ensemble spatial density (exact / expansion / smoothed)
+    density     closed-form master densities at the final time by four
+                routes (exact / expansion / smoothed / free)
     verify      internal consistency battery (exit code 2 on failure)
 
 Common flags: --config PATH (flat key=value or JSON experiment file),
@@ -30,7 +36,8 @@ from . import gaussian as ge
 from . import localization as loc
 from . import master as me
 from .constants import FundamentalConstants
-from .ensemble import ExperimentConfig, _write_csv, compare_to_master, run_ensemble
+from .ensemble import (ExperimentConfig, _write_csv, branch_outcomes,
+                       compare_to_master, run_ensemble)
 from .errors import InstabilityError
 from .grid import RECORD_FIELDS, NoiseStream, evolve_batch, record_steps
 from .model import derive_constants, scale_parameters, uncertainty_product
@@ -159,12 +166,55 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+def _route_profiles(cfg, t, x) -> dict:
+    """The master density of the config's Gaussian start at time t on x,
+    by each position_density route."""
+    return {m: me.position_density(cfg.initial_gaussian(), t, cfg.params(),
+                                   x, method=m)
+            for m in ("exact", "expansion", "smoothed", "free")}
+
+
+def _report_branches(args, cfg, records, aborted) -> list:
+    localization, outcomes = branch_outcomes(cfg, records, aborted)
+    written = [
+        _write_table(args, "localization", "ensemble-localization-v1",
+                     ["t", "localized_fraction", "mean_sigma_q"],
+                     localization),
+        _write_table(args, "outcomes", "ensemble-outcomes-v1",
+                     ["trajectory", "settled", "t_reduce", "branch"],
+                     outcomes)]
+    settled = outcomes[:, 1] == 1
+    n = int(settled.sum())
+    print(f"localized at end: {localization[-1, 1]:.3f} "
+          f"({n} of {settled.size} kept trajectories)")
+    if n == 0:
+        return written
+    weights = np.asarray(cfg.weights) / sum(cfg.weights)
+    for k, (c, w) in enumerate(zip(cfg.centers, weights)):
+        frac = np.mean(outcomes[settled, 3] == k)
+        print(f"branch {k} at {c:g}: fraction {frac:.4f} (weight {w:.3f}, "
+              f"binomial se {math.sqrt(w * (1.0 - w) / n):.4f})")
+    t_reduce = outcomes[settled, 2]
+    print(f"reduction time: median {np.median(t_reduce):.3f}, "
+          f"90th pct {np.percentile(t_reduce, 90):.3f}")
+    return written
+
+
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
-    summary = run_ensemble(cfg)
+    summary, records, aborted = run_ensemble(cfg, return_records=True)
     os.makedirs(args.out, exist_ok=True)
     written = summary.save(args.out, args.format)
     print(f"{cfg.n_trajectories} trajectories, {summary.n_aborted} aborted")
+    # raw-measure branch fractions of the linear equation would mislead
+    if cfg.equation == "nonlinear" and cfg.initial == "superposition":
+        written += _report_branches(args, cfg, records, aborted)
+    elif cfg.equation == "nonlinear":
+        x = summary.density_x
+        profiles = _route_profiles(cfg, float(summary.times[-1]), x)
+        for m, prof in profiles.items():
+            l1 = np.abs(summary.density - prof.density).sum() * (x[1] - x[0])
+            print(f"L1(ensemble, {m:10s}) = {l1:.5f}")
     for w in written:
         print(f"wrote {w}")
     return 0
@@ -194,13 +244,9 @@ def cmd_master(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args)
-    p = cfg.params()
-    g0 = cfg.initial_gaussian()
     t = cfg.dt * cfg.n_steps
     x = cfg.grid().x
-    profiles = {}
-    for method in ("exact", "expansion", "smoothed", "free"):
-        profiles[method] = me.position_density(g0, t, p, x, method=method)
+    profiles = _route_profiles(cfg, t, x)
     body = np.column_stack([x] + [profiles[m].density for m in profiles])
     cols = ["x"] + list(profiles)
     path = _write_table(args, "density", "density-v1", cols, body)

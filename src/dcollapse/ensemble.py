@@ -315,10 +315,12 @@ def _run_batch(cfg: ExperimentConfig, start: int, count: int):
         psi, grid, p, cfg.dt, cfg.n_steps, incr, equation=cfg.equation,
         record_every=cfg.record_every, d=d,
     )
-    prob = np.abs(final_psi) ** 2
+    # aborted rows are dropped before they are normalised: their norm may
+    # be 0 or not finite
+    prob = np.abs(final_psi[~aborted]) ** 2
     norm = prob.sum(axis=-1, keepdims=True) * grid.dx
     prob = prob / norm
-    return times, records, aborted, prob[~aborted].sum(axis=0)
+    return times, records, aborted, prob.sum(axis=0)
 
 
 def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
@@ -371,6 +373,42 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     if return_records:
         return summary, records, aborted
     return summary
+
+
+def branch_outcomes(cfg: ExperimentConfig, records: np.ndarray,
+                    aborted: np.ndarray):
+    """The localization curve and the branch outcomes of a superposition
+    run, from its run_ensemble records; aborted trajectories are left out.
+
+    Returns two tables.  localization has a row per record: t, the
+    fraction of localized trajectories and their mean sigma_q, where a
+    record is localized when sigma_q lies within 5 % of sigma_q_bar.
+    outcomes has a row per kept trajectory: its index, settled (1 when its
+    last record is localized), t_reduce and branch.  A trajectory settles
+    at the first record of its final localized stretch (an unsettled one
+    at its last record), and its branch is the index of the packet centre
+    nearest its <q> there.
+    """
+    d = derive_constants(cfg.params(), boltzmann=1.0)
+    ok = ~aborted
+    sig_q = np.sqrt(records[:, ok, RECORD_FIELDS.index("sigma_q_sq")])
+    q_mean = records[:, ok, RECORD_FIELDS.index("q_mean")]
+    times = records[:, 0, RECORD_FIELDS.index("t")]
+    within = np.abs(sig_q - d.sigma_q_bar) <= 0.05 * d.sigma_q_bar
+    n_rec, n_ok = within.shape
+    # one past the last unlocalized record, or 0 when there is none
+    spread = ~within
+    settle = np.where(spread.any(axis=0),
+                      np.minimum(n_rec - np.argmax(spread[::-1], axis=0),
+                                 n_rec - 1), 0)
+    q_settle = q_mean[settle, np.arange(n_ok)]
+    branch = np.argmin(np.abs(q_settle[:, None] - np.asarray(cfg.centers)),
+                       axis=1)
+    localization = np.column_stack([times, within.mean(axis=1),
+                                    sig_q.mean(axis=1)])
+    outcomes = np.column_stack([np.flatnonzero(ok), within[-1],
+                                times[settle], branch])
+    return localization, outcomes
 
 
 @dataclass(frozen=True)
@@ -451,5 +489,5 @@ def compare_to_master(cfg: ExperimentConfig, summary: EnsembleSummary,
 
 __all__ = [
     "ExperimentConfig", "EnsembleSummary", "MasterComparison",
-    "run_ensemble", "compare_to_master",
+    "run_ensemble", "branch_outcomes", "compare_to_master",
 ]

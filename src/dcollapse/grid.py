@@ -261,10 +261,10 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     record_steps(n_steps, record_every) times dt and records has shape
     (n_records, B, len(RECORD_FIELDS)).  A trajectory whose norm turns
     non-finite, collapses (nonlinear) or grows a hundredfold in one step
-    (linear) is flagged at that step; spectral aliasing, boundary leakage and
-    an underflowed norm (NaN moments) are checked on every recorded state,
-    all at once after the loop.  A flagged trajectory's subsequent records
-    are not meaningful.
+    (linear) is flagged at that step, and a linear row is zeroed there;
+    spectral aliasing, boundary leakage and an underflowed norm (NaN
+    moments) are checked on every recorded state, all at once after the
+    loop.  A flagged trajectory's subsequent records are not meaningful.
 
     The (B, n) work buffers are allocated once per call and every FFT and
     elementwise update writes into them, so the step loop allocates no
@@ -385,6 +385,10 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         else:
             bad |= n2 > 100.0 * prev_norm
             prev_norm = n2
+            # a flagged row would grow on until it overflows; zeroed, it
+            # records as underflowed and stays finite
+            if bad.any():
+                phi[bad] = 0.0
         np.logical_or(aborted, bad, out=aborted)
         if step == rec_steps[slot]:
             np.multiply(phi, half, out=scratch)

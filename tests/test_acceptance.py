@@ -20,7 +20,8 @@ from dcollapse import grid as gr
 from dcollapse import localization as loc
 from dcollapse import master as ms
 from dcollapse.constants import FundamentalConstants
-from dcollapse.ensemble import ExperimentConfig, run_ensemble
+from dcollapse.ensemble import (ExperimentConfig, branch_outcomes,
+                                run_ensemble)
 from dcollapse.gaussian import GaussianState
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 from dcollapse.numerics import rk4_path
@@ -139,30 +140,23 @@ class TestLinearNormMartingale:
 
 
 class TestSuperpositionReduction:
-    def test_single_packet_and_born_statistics(self, collapse_run, d_nat):
+    def test_single_packet_and_born_statistics(self, collapse_run):
         run = collapse_run
         assert run.aborted.sum() == 0
-        sig_q = np.sqrt(run.column("sigma_q_sq"))
-        within = np.abs(sig_q - d_nat.sigma_q_bar) <= 0.05 * d_nat.sigma_q_bar
-
-        frac_final = within[-1].mean()
+        localization, outcomes = branch_outcomes(run.cfg, run.records,
+                                                 run.aborted)
+        frac_final = localization[-1, 1]
         times = run.summary.times
         i500 = int(round(500 * run.cfg.dt / (times[1] - times[0])))
-        frac_500 = within[i500].mean()
+        frac_500 = localization[i500, 1]
         print(f"localized fraction: {frac_500:.4f} at step 500, "
               f"{frac_final:.4f} at the end [{run.elapsed:.0f} s ensemble]")
         assert frac_final > 0.99
         assert frac_500 > 0.95
 
-        # branch statistics, read off where each trajectory settles: the
-        # first record of its final localized stretch, before the surviving
-        # packet has had time to wander across the origin
-        qm = run.column("q_mean")
-        n_rec, n_traj = within.shape
-        last_not = n_rec - 1 - np.argmax(~within[::-1], axis=0)
-        seal = np.minimum(last_not + 1, n_rec - 1)
-        localized = within[-1]
-        picks = qm[seal, np.arange(n_traj)][localized] > 0.0
+        # branch statistics, read off where each trajectory settles
+        _, settled, _, branch = outcomes.T
+        picks = branch[settled == 1] == 1
         w_right = run.cfg.weights[1]
         se = math.sqrt(w_right * (1 - w_right) / picks.size)
         z = (picks.mean() - w_right) / se

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 import dcollapse
 from dcollapse import cli
 from dcollapse import localization as loc
-from dcollapse.ensemble import ExperimentConfig
+from dcollapse.ensemble import ExperimentConfig, run_ensemble
+from dcollapse.grid import RECORD_FIELDS
 
 
 def read_csv(path):
@@ -232,16 +234,110 @@ class TestEnsemble:
         assert "6 trajectories, 0 aborted" in out
 
     def test_all_aborted_exits_1(self, tmp_path, capsys):
-        cfg = ExperimentConfig(n_trajectories=4, batch_size=4, n_steps=4,
-                               xbar0=15.0)
+        # leaked nonlinear rows, and linear rows whose norm blows up, which
+        # are then not integrated on into an overflow: no numpy warning
+        for cfg in (ExperimentConfig(n_trajectories=4, batch_size=4,
+                                     n_steps=4, xbar0=15.0),
+                    ExperimentConfig(equation="linear", collapse_rate=1.0,
+                                     dt=0.05, n_steps=400, n_trajectories=4,
+                                     batch_size=4)):
+            path = str(tmp_path / "exp.cfg")
+            cfg.to_file(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli.main(["ensemble", "--config", path, "--out",
+                               str(tmp_path)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "run error: all 4 trajectories aborted" in err
+            assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_superposition_writes_branch_outcomes(self, tmp_path, capsys,
+                                                  fmt):
+        # centres not symmetric about 0: both branches lie at q > 0
+        cfg = ExperimentConfig(
+            initial="superposition", centers=(2.0, 8.0), weights=(0.5, 0.5),
+            x_min=-32.0, x_max=32.0, dt=0.008, n_steps=300, record_every=5,
+            n_trajectories=16, batch_size=8, master_seed=3)
         path = str(tmp_path / "exp.cfg")
         cfg.to_file(path)
-        rc = cli.main(["ensemble", "--config", path, "--out",
-                       str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "run error: all 4 trajectories aborted" in err
-        assert not (tmp_path / "moments.csv").exists()
+        rc = cli.main(["ensemble", "--config", path, "--format", fmt,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        tables = {}
+        for name in ("localization", "outcomes"):
+            if fmt == "csv":
+                schema, cols, body = read_csv(tmp_path / f"{name}.csv")
+                schema = schema.removeprefix("# schema=")
+            else:
+                with open(tmp_path / f"{name}.json") as f:
+                    payload = json.load(f)
+                schema, cols = payload["schema"], payload["columns"]
+                body = np.array(payload["rows"])
+            assert schema == f"ensemble-{name}-v1"
+            tables[name] = dict(zip(cols, body.T))
+        assert list(tables["localization"]) == [
+            "t", "localized_fraction", "mean_sigma_q"]
+        out = tables["outcomes"]
+        assert list(out) == ["trajectory", "settled", "t_reduce", "branch"]
+
+        _, records, _ = run_ensemble(cfg, return_records=True)
+        times = records[:, 0, 0]
+        assert np.array_equal(tables["localization"]["t"], times)
+        settled = out["settled"] == 1
+        rec = np.searchsorted(times, out["t_reduce"][settled])
+        traj = out["trajectory"][settled].astype(int)
+        q = records[rec, traj, RECORD_FIELDS.index("q_mean")]
+        nearest = np.argmin(np.abs(q[:, None] - np.array(cfg.centers)), axis=1)
+        assert np.array_equal(out["branch"][settled], nearest)
+        assert set(nearest) == {0, 1}
+        assert (q > 0.0).all()
+        stdout = capsys.readouterr().out
+        assert "branch 0 at 2: fraction" in stdout
+        assert "reduction time: median" in stdout
+
+    def test_run_with_nothing_settled_prints_no_fractions(self, tmp_path,
+                                                         capsys):
+        cfg = ExperimentConfig(initial="superposition", x_min=-32.0,
+                               x_max=32.0, n_steps=10, n_trajectories=4)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["ensemble", "--config", path, "--out",
+                           str(tmp_path)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "localized at end: 0.000 (0 of 4 kept trajectories)" in stdout
+        assert "fraction" not in stdout and "reduction time" not in stdout
+
+    def test_gaussian_prints_route_l1s(self, tmp_path, capsys):
+        cfg = ExperimentConfig(n_trajectories=8, batch_size=4, n_steps=20,
+                               dt=0.005)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        rc = cli.main(["ensemble", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("L1(ensemble, ")]
+        assert [ln.split()[1] for ln in lines] == [
+            "exact", "expansion", "smoothed", "free"]
+        assert not (tmp_path / "localization.csv").exists()
+        assert not (tmp_path / "outcomes.csv").exists()
+
+    def test_linear_writes_no_branch_report(self, tmp_path, capsys):
+        cfg = ExperimentConfig(equation="linear", initial="superposition",
+                               x_min=-32.0, x_max=32.0, n_trajectories=4,
+                               batch_size=4, n_steps=20)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        rc = cli.main(["ensemble", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "localized at end" not in stdout and "L1(" not in stdout
+        assert sorted(os.listdir(tmp_path)) == [
+            "density.csv", "exp.cfg", "final_q_hist.csv", "moments.csv"]
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
-"""The scripts run end to end on small inputs and write their outputs."""
+"""The one script left, record_replay.py, runs end to end on a small input
+and writes its JSON report."""
 
 import json
 import os
@@ -17,31 +18,7 @@ def run_script(name, *argv):
         capture_output=True, text=True, timeout=60)
 
 
-def header(path):
-    with open(path) as f:
-        return f.readline().strip()
-
-
 class TestScripts:
-    def test_collapse_study(self, tmp_path):
-        out = run_script("collapse_study.py", "--n-traj", "8", "--batch", "4",
-                         "--steps", "40", "--out", str(tmp_path))
-        assert out.returncode == 0, out.stderr
-        assert "8 trajectories" in out.stdout
-        assert header(tmp_path / "localized_fraction.csv") == \
-            "t,localized_fraction,mean_sigma_q"
-        assert header(tmp_path / "outcomes.csv") == \
-            "trajectory,settled,t_reduce,branch_right"
-
-    def test_density_comparison(self, tmp_path):
-        out = run_script("density_comparison.py", "--n-traj", "8",
-                         "--batch", "4", "--steps", "20", "--out",
-                         str(tmp_path))
-        assert out.returncode == 0, out.stderr
-        assert "averaged 8 trajectories" in out.stdout
-        assert header(tmp_path / "profiles.csv") == \
-            "x,ensemble,exact,expansion,smoothed,free"
-
     def test_record_replay(self, tmp_path):
         # this tree against itself: both sides load and give equal records
         out = run_script("record_replay.py", "--base",
