@@ -77,8 +77,7 @@ def main():
 
     def replay(side, every):
         return sides[side].grid.evolve_batch(
-            psi, grids[side], p, DT, args.steps, incr, record_every=every,
-            d=d)
+            psi, grids[side], p, DT, args.steps, incr, record_every=every)
 
     def seconds(side, every):
         best = math.inf

@@ -21,7 +21,7 @@ Module map:
 from .constants import BOLTZMANN, HBAR, NUCLEON_MASS, FundamentalConstants
 from .errors import InstabilityError
 from .model import (DerivedConstants, ModelParams, derive_constants,
-                    scale_parameters, uncertainty_product)
+                    scale_parameters)
 from .gaussian import (GaussianState, SpreadTriple, a_closed_form, spreads,
                        stationary_covariance)
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
@@ -38,7 +38,7 @@ __all__ = [
     "BOLTZMANN", "HBAR", "NUCLEON_MASS", "FundamentalConstants",
     "InstabilityError",
     "DerivedConstants", "ModelParams", "derive_constants",
-    "scale_parameters", "uncertainty_product",
+    "scale_parameters",
     "GaussianState", "SpreadTriple", "a_closed_form", "spreads",
     "stationary_covariance",
     "RECORD_FIELDS", "Grid", "NoiseStream", "build_gaussian",

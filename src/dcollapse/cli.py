@@ -12,7 +12,8 @@ Subcommands:
                 master density route
     master      closed-form master-equation coefficient flow
     density     closed-form master densities at the final time by four
-                routes (exact / expansion / smoothed / free)
+                routes (exact / expansion / smoothed / free); master and
+                density need a Gaussian initial state
     verify      internal consistency battery (exit code 2 on failure)
 
 Common flags: --config PATH (flat key=value or JSON experiment file),
@@ -40,7 +41,7 @@ from .ensemble import (ExperimentConfig, _write_csv, branch_outcomes,
                        compare_to_master, run_ensemble)
 from .errors import InstabilityError
 from .grid import RECORD_FIELDS, NoiseStream, evolve_batch, record_steps
-from .model import derive_constants, scale_parameters, uncertainty_product
+from .model import derive_constants, scale_parameters
 
 
 def _add_common(sp):
@@ -105,7 +106,7 @@ def cmd_constants(args) -> int:
         "sigma_q_bar": d.sigma_q_bar,
         "sigma_p_bar": d.sigma_p_bar,
         "sigma_qp_bar_sq": d.sigma_qp_bar_sq,
-        "uncertainty_product": uncertainty_product(d),
+        "uncertainty_product": d.sigma_q_bar * d.sigma_p_bar,
         "energy_inf": d.energy_inf,
         "temperature": d.temperature,
     }
@@ -131,14 +132,13 @@ def cmd_constants(args) -> int:
 def cmd_gaussian(args) -> int:
     cfg = _load_config(args)
     p = cfg.params()
-    d = derive_constants(p, boltzmann=1.0)
     g0 = cfg.initial_gaussian()
     steps = record_steps(cfg.n_steps, cfg.record_every)
     times = np.asarray(steps, dtype=float) * cfg.dt
     a_t = ge.a_closed_form(g0.a, times, p)
     tr = ge.spreads(a_t, p)
-    so = loc.sigma_O_sq(tr.sigma_q**2, tr.sigma_p**2, tr.sigma_qp_sq, p, d)
-    cov = ge.stationary_covariance(times, p, d)
+    so = loc.sigma_O_sq(tr.sigma_q**2, tr.sigma_p**2, tr.sigma_qp_sq, p)
+    cov = ge.stationary_covariance(times, p)
     body = np.column_stack([
         times, a_t.real, a_t.imag, tr.sigma_q, tr.sigma_p, tr.sigma_qp_sq,
         np.broadcast_to(so, times.shape), cov.qq, cov.qp, cov.pp,
@@ -164,6 +164,13 @@ def cmd_trajectory(args) -> int:
         print("trajectory aborted a validity check", file=sys.stderr)
         return 1
     return 0
+
+
+def _require_gaussian(cfg, command):
+    """Refuse a superposition config: the closed-form master results
+    describe a single Gaussian start only."""
+    if cfg.initial != "gaussian":
+        raise ValueError(f"dcollapse {command} needs a Gaussian initial state")
 
 
 def _route_profiles(cfg, t, x) -> dict:
@@ -222,6 +229,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_master(args) -> int:
     cfg = _load_config(args)
+    _require_gaussian(cfg, "master")
     p = cfg.params()
     c0 = me.coefficients_from_gaussian(cfg.initial_gaussian(), p)
     steps = record_steps(cfg.n_steps, cfg.record_every)
@@ -244,6 +252,7 @@ def cmd_master(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args)
+    _require_gaussian(cfg, "density")
     t = cfg.dt * cfg.n_steps
     x = cfg.grid().x
     profiles = _route_profiles(cfg, t, x)
@@ -264,13 +273,13 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(cfg.master_seed)
     checks = {}
 
-    res = loc.stationarity_residuals(p, d)
+    res = loc.stationarity_residuals(p)
     checks["stationary_identities"] = {
         "max_residual": max(abs(res.drift), abs(res.mixed), abs(res.uncertainty)),
         "tol": 1e-9,
     }
 
-    w1, w2, w3 = loc.relaxation_weights(p, d)
+    w1, w2, w3 = loc.relaxation_weights(p)
     rel12 = abs(w1 - w2) / abs(w1)
     sq2, sp2 = d.sigma_q_bar**2, d.sigma_p_bar**2
     w3_ref = -(2.0 * d.sigma_qp_bar_sq**2 / (sq2 * sp2)) * w1
@@ -304,7 +313,7 @@ def cmd_verify(args) -> int:
 
     cov_rk = ge.integrate_covariance(lambda t: d.a_inf, np.linspace(0, 5.0, 200),
                                      p, substeps=4)
-    cov_cf = ge.stationary_covariance(cov_rk.t[-1], p, d)
+    cov_cf = ge.stationary_covariance(cov_rk.t[-1], p)
     rel = float(max(
         abs(cov_rk.qq[-1] - cov_cf.qq) / abs(cov_cf.qq),
         abs(cov_rk.qp[-1] - cov_cf.qp) / abs(cov_cf.qp),
@@ -339,9 +348,9 @@ def cmd_verify(args) -> int:
                       abs(me.mean_energy(e0, t, heat) / linear - 1.0))
     checks["energy_relaxation"] = {"max_residual": float(gap), "tol": 1e-12}
 
-    q2, p2, qp2 = loc.random_moment_triples(20000, p, rng, d)
-    so = loc.sigma_O_sq(q2, p2, qp2, p, d)
-    dr = loc.drift_prediction(q2, p2, qp2, p, d)
+    q2, p2, qp2 = loc.random_moment_triples(20000, p, rng)
+    so = loc.sigma_O_sq(q2, p2, qp2, p)
+    dr = loc.drift_prediction(q2, p2, qp2, p)
     checks["localization_drift"] = {
         "max_residual": float(max(np.max(dr), np.max(-so), 0.0)),
         "tol": 1e-12,

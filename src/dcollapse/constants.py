@@ -28,7 +28,6 @@ class FundamentalConstants:
     momentum_coupling_base: float = 1.0e-18
     reference_mass: float = NUCLEON_MASS
     hbar: float = HBAR
-    boltzmann: float = BOLTZMANN
 
 
 __all__ = ["HBAR", "BOLTZMANN", "NUCLEON_MASS", "FundamentalConstants"]

@@ -279,7 +279,7 @@ class EnsembleSummary:
                 body[:, 2 * j] = self.sem[:, j]
             _write_csv(path, "ensemble-moments-v1", cols, body)
             written.append(path)
-            path = os.path.join(out_dir, "density.csv")
+            path = os.path.join(out_dir, "final_density.csv")
             _write_csv(path, "ensemble-density-v1", ["x", "density"],
                        np.column_stack([self.density_x, self.density]))
             written.append(path)
@@ -304,7 +304,6 @@ def _write_csv(path: str, schema: str, cols, body: np.ndarray) -> None:
 def _run_batch(cfg: ExperimentConfig, start: int, count: int):
     p = cfg.params()
     grid = cfg.grid()
-    d = derive_constants(p, boltzmann=1.0)
     psi0 = cfg.initial_psi(grid)
     psi = np.broadcast_to(psi0, (count, grid.n)).copy()
     incr = np.empty((count, cfg.n_steps))
@@ -313,8 +312,7 @@ def _run_batch(cfg: ExperimentConfig, start: int, count: int):
             cfg.n_steps, cfg.dt)
     times, records, final_psi, aborted = evolve_batch(
         psi, grid, p, cfg.dt, cfg.n_steps, incr, equation=cfg.equation,
-        record_every=cfg.record_every, d=d,
-    )
+        record_every=cfg.record_every)
     # aborted rows are dropped before they are normalised: their norm may
     # be 0 or not finite
     prob = np.abs(final_psi[~aborted]) ** 2

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InstabilityError
-from .model import DerivedConstants, ModelParams, derive_constants
+from .model import ModelParams, derive_constants
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -87,11 +87,11 @@ class CovariancePath:
     pp: np.ndarray
 
 
-def _riccati_constants(p: ModelParams, d: DerivedConstants | None = None):
-    d = d or derive_constants(p, boltzmann=1.0)
+def _riccati_constants(p: ModelParams):
+    d = derive_constants(p, boltzmann=1.0)
     A = -2j * p.collapse_rate * p.momentum_coupling * p.mass / p.hbar
     B = (p.mass * d.omega / (_SQRT2 * p.hbar)) * np.exp(1j * d.theta)
-    return A, B, d
+    return A, B
 
 
 def a_closed_form(a0, t, p: ModelParams):
@@ -108,7 +108,7 @@ def a_closed_form(a0, t, p: ModelParams):
     if p.collapse_rate == 0.0:
         out = a0 / (1.0 + 2j * hb * a0 * t / m)
     else:
-        A, B, _ = _riccati_constants(p)
+        A, B = _riccati_constants(p)
         tau0 = 1j * (2.0 * a0 + A) / B
         T = np.tanh((hb / m) * B * t)
         out = -A / 2.0 - 0.5j * B * (tau0 + T) / (1.0 + tau0 * T)
@@ -184,9 +184,10 @@ def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
                          kbar=g.kbar)
 
 
-def integrate_covariance(a_of_t, t_grid, p: ModelParams, c0=(0.0, 0.0, 0.0),
+def integrate_covariance(a_of_t, t_grid, p: ModelParams,
                          substeps: int = 4) -> CovariancePath:
-    """Runge-Kutta solution of the centre-covariance ODE system.
+    """Runge-Kutta solution of the centre-covariance ODE system, started
+    at zero covariance.
 
         d Cqq = 2 Cqp / m + lam s(a)^2
         d Cqp = Cpp / m - 2 lam alpha Cqp + lam hbar c(a) s(a)
@@ -209,20 +210,18 @@ def integrate_covariance(a_of_t, t_grid, p: ModelParams, c0=(0.0, 0.0, 0.0),
         ])
 
     t_grid = np.asarray(t_grid, dtype=float)
-    path = numerics.rk4_path(rhs, np.asarray(c0, dtype=float), t_grid,
-                             substeps=substeps)
+    path = numerics.rk4_path(rhs, np.zeros(3), t_grid, substeps=substeps)
     return CovariancePath(t=t_grid, qq=path[:, 0], qp=path[:, 1], pp=path[:, 2])
 
 
-def stationary_covariance(t, p: ModelParams,
-                          d: DerivedConstants | None = None) -> CovarianceMatrix:
+def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
     """Closed-form centre covariances for a trajectory with a = a_inf.
 
     Vectorizes over t.  Organised as sums of non-negative kernel terms, so the
     result keeps full relative precision even in SI units where the damping
     exponent is ~1e-20 for laboratory times.
     """
-    d = d or derive_constants(p, boltzmann=1.0)
+    d = derive_constants(p, boltzmann=1.0)
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     t = np.asarray(t, dtype=float)
     if lam == 0.0:

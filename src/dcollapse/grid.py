@@ -23,8 +23,8 @@ followed by renormalization.  This is the same dynamics as the linear step
 driven by the mean-shifted increment (they differ by a state-independent
 scalar that renormalization removes), but the operator norms seen by the
 Euler update scale with the packet width instead of the packet position,
-which is what keeps wandering trajectories inside the trusted step-size
-budget.
+which is what keeps the step size a wandering trajectory needs from
+shrinking as it wanders.
 
 The alpha terms of the drift cancel, so both interaction updates read
 
@@ -69,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import GaussianState
-from .model import DerivedConstants, ModelParams, derive_constants
+from .model import ModelParams, derive_constants
 
 RECORD_FIELDS = (
     "t", "q_mean", "p_mean", "sigma_q_sq", "sigma_p_sq", "sigma_qp_sq",
@@ -161,28 +161,6 @@ def build_superposition(grid: Grid, a: complex, centers, weights,
     return psi / math.sqrt(float(grid_norm_sq(psi, grid)))
 
 
-def suggest_dt(psi: np.ndarray, grid: Grid, p: ModelParams,
-               budget: float = 0.05) -> float:
-    """Step size keeping lam * max(dx^2, (alpha/hbar)^2 dp^2) * dt below
-    budget, where dx/dp are the state's support half-widths measured from
-    its centres (the scales the centred interaction operators see)."""
-    lam, al, hb = p.collapse_rate, p.momentum_coupling, p.hbar
-    if lam == 0.0:
-        return math.inf
-    prob = np.abs(psi) ** 2
-    prob = prob / prob.sum()
-    qm = float(np.sum(grid.x * prob))
-    live = prob > 1e-12
-    x_half = float(np.max(np.abs(grid.x[live] - qm)))
-    power = np.abs(np.fft.fft(psi)) ** 2
-    power = power / power.sum()
-    pm = float(np.sum(hb * grid.k * power))
-    livek = power > 1e-12
-    p_half = float(np.max(np.abs(hb * grid.k[livek] - pm)))
-    scale = max(x_half**2, (al / hb) ** 2 * p_half**2)
-    return budget / (lam * scale)
-
-
 def _kinetic(grid: Grid, p: ModelParams, dt: float):
     """Free propagators over half and whole steps, diagonal in the FFT
     basis."""
@@ -252,8 +230,7 @@ def _finish_records(sums, times, dx, c, mass):
 
 def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
                  increments, equation: str = "nonlinear",
-                 record_every: int = 10,
-                 d: DerivedConstants | None = None):
+                 record_every: int = 10):
     """Evolve a (B, n) batch with per-trajectory increments of shape
     (B, n_steps).
 
@@ -274,7 +251,6 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     """
     if equation not in ("nonlinear", "linear"):
         raise ValueError("equation must be 'nonlinear' or 'linear'")
-    d = d or derive_constants(p, boltzmann=1.0)
     psi = np.array(np.atleast_2d(psi0), dtype=complex, order="C")
     increments = np.asarray(increments, dtype=float)
     n_batch = psi.shape[0]
@@ -397,7 +373,8 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
     # O = p - c q with c = 2 i hbar a_inf
-    records, invalid = _finish_records(sums, times, dx, 2j * hb * d.a_inf,
+    a_inf = derive_constants(p, boltzmann=1.0).a_inf
+    records, invalid = _finish_records(sums, times, dx, 2j * hb * a_inf,
                                        p.mass)
     np.logical_or(aborted, invalid.any(axis=0), out=aborted)
     return times, records, psi, aborted
@@ -405,5 +382,5 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
 
 __all__ = [
     "RECORD_FIELDS", "Grid", "NoiseStream", "grid_norm_sq", "build_gaussian",
-    "build_superposition", "suggest_dt", "record_steps", "evolve_batch",
+    "build_superposition", "record_steps", "evolve_batch",
 ]

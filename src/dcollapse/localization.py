@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModelParams, derive_constants
+from .model import ModelParams, derive_constants
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,20 @@ class StationarityResiduals:
     uncertainty: float
 
 
-def _bars(p: ModelParams, d: DerivedConstants | None):
-    d = d or derive_constants(p, boltzmann=1.0)
-    return d, d.sigma_q_bar**2, d.sigma_p_bar**2, d.sigma_qp_bar_sq
+def _bars(p: ModelParams):
+    """The squared stationary spreads sq~^2, sp~^2 and sqp~^2 of p."""
+    d = derive_constants(p, boltzmann=1.0)
+    return d.sigma_q_bar**2, d.sigma_p_bar**2, d.sigma_qp_bar_sq
 
 
-def sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams,
-               d: DerivedConstants | None = None):
+def sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams):
     """Variance of the contractive observable for given second moments.
 
     Accepts scalars or broadcasting arrays.  Non-negative for any moments
     satisfying the uncertainty inequality; zero exactly at the stationary
     triple.
     """
-    d, sq2, sp2, sqp2 = _bars(p, d)
+    sq2, sp2, sqp2 = _bars(p)
     hb = p.hbar
     out = (
         np.asarray(sigma_p_sq, dtype=float)
@@ -64,13 +64,12 @@ def sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams,
     return float(out) if out.ndim == 0 else out
 
 
-def drift_prediction(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams,
-                     d: DerivedConstants | None = None):
+def drift_prediction(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams):
     """Instantaneous drift of E[sigma_O^2] for an ensemble sitting at the
     given second moments.  Never positive on physical moments."""
-    d, sq2, sp2, sqp2 = _bars(p, d)
+    sq2, sp2, sqp2 = _bars(p)
     lam, hb = p.collapse_rate, p.hbar
-    s_o = sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p, d)
+    s_o = sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p)
     sigma_q_sq = np.asarray(sigma_q_sq, dtype=float)
     sigma_qp_sq = np.asarray(sigma_qp_sq, dtype=float)
     cross = sqp2 * sigma_q_sq / sq2 - sigma_qp_sq
@@ -81,14 +80,14 @@ def drift_prediction(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def relaxation_weights(p: ModelParams, d: DerivedConstants | None = None):
+def relaxation_weights(p: ModelParams):
     """Linearized decay weights (w1, w2, w3) of the relative deviations.
 
     w1 and w2 coincide (both equal -4 lam sq~^2 sp~^2) and w3 is their
     qp-coupled counterpart; the equalities are consequences of the stationary
     identities and are pinned by tests.
     """
-    d, sq2, sp2, sqp2 = _bars(p, d)
+    sq2, sp2, sqp2 = _bars(p)
     lam, al, m = p.collapse_rate, p.momentum_coupling, p.mass
     w1 = -8.0 * lam * (sq2 * sp2 - 0.5 * al * sp2 - sqp2 * sqp2)
     w2 = -2.0 * (2.0 * al * lam * sp2 + (sqp2 / m) * (sp2 / sq2))
@@ -96,11 +95,10 @@ def relaxation_weights(p: ModelParams, d: DerivedConstants | None = None):
     return w1, w2, w3
 
 
-def stationarity_residuals(p: ModelParams,
-                           d: DerivedConstants | None = None) -> StationarityResiduals:
+def stationarity_residuals(p: ModelParams) -> StationarityResiduals:
     """Check that the derived stationary spreads satisfy their defining
     identities.  Returns relative residuals (zero up to rounding)."""
-    d, sq2, sp2, sqp2 = _bars(p, d)
+    sq2, sp2, sqp2 = _bars(p)
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     quarter = 0.25 * hb * hb
     drift = (sqp2 / m - 2.0 * lam * sq2 * sq2 + 2.0 * al * lam * sq2) / (
@@ -111,17 +109,15 @@ def stationarity_residuals(p: ModelParams,
     return StationarityResiduals(drift=drift, mixed=mixed, uncertainty=uncertainty)
 
 
-def random_moment_triples(n: int, p: ModelParams, rng,
-                          d: DerivedConstants | None = None,
-                          rel_low: float = -0.9, rel_high: float = 3.0):
+def random_moment_triples(n: int, p: ModelParams, rng):
     """Sample n physical moment triples around the stationary point.
 
-    Relative deviations X, Y, Z are drawn uniformly from [rel_low, rel_high]
+    Relative deviations X, Y, Z are drawn uniformly from [-0.9, 3.0]
     and triples violating the uncertainty inequality
     sigma_q^2 sigma_p^2 - sigma_qp^4 >= hbar^2/4 are rejected.  Returns
     (sigma_q_sq, sigma_p_sq, sigma_qp_sq) arrays of length n.
     """
-    d, sq2, sp2, sqp2 = _bars(p, d)
+    sq2, sp2, sqp2 = _bars(p)
     quarter = 0.25 * p.hbar**2
     out_q = np.empty(n)
     out_p = np.empty(n)
@@ -129,7 +125,7 @@ def random_moment_triples(n: int, p: ModelParams, rng,
     filled = 0
     while filled < n:
         m = max(2 * (n - filled), 64)
-        x, y, z = rng.uniform(rel_low, rel_high, size=(3, m))
+        x, y, z = rng.uniform(-0.9, 3.0, size=(3, m))
         q2 = sq2 * (1.0 + x)
         p2 = sp2 * (1.0 + y)
         qp2 = sqp2 * (1.0 + z)

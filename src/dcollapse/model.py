@@ -75,7 +75,6 @@ class DerivedConstants:
     sigma_qp_bar_sq: float
     energy_inf: float
     temperature: float
-    hbar: float
 
 
 def scale_parameters(mass: float, fc: FundamentalConstants | None = None) -> ModelParams:
@@ -107,7 +106,7 @@ def derive_constants(p: ModelParams, boltzmann: float = BOLTZMANN) -> DerivedCon
             kappa=0.0, a_inf=0.0 + 0.0j,
             sigma_q_bar=math.inf, sigma_p_bar=0.0,
             sigma_qp_bar_sq=0.5 * hb,
-            energy_inf=math.inf, temperature=math.inf, hbar=hb,
+            energy_inf=math.inf, temperature=math.inf,
         )
 
     omega = 2.0 * (4.0 * (lam * al) ** 4 + lam**2 * hb**2 / m**2) ** 0.25
@@ -134,13 +133,8 @@ def derive_constants(p: ModelParams, boltzmann: float = BOLTZMANN) -> DerivedCon
         sigma_q_bar=math.sqrt(sigma_q_sq),
         sigma_p_bar=math.sqrt(sigma_p_sq),
         sigma_qp_bar_sq=sigma_qp_sq,
-        energy_inf=energy_inf, temperature=temperature, hbar=hb,
+        energy_inf=energy_inf, temperature=temperature,
     )
-
-
-def uncertainty_product(d: DerivedConstants) -> float:
-    """sigma_q_bar * sigma_p_bar, in units of the hbar used to build d."""
-    return d.sigma_q_bar * d.sigma_p_bar
 
 
 __all__ = [
@@ -148,5 +142,4 @@ __all__ = [
     "DerivedConstants",
     "scale_parameters",
     "derive_constants",
-    "uncertainty_product",
 ]

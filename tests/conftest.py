@@ -33,11 +33,6 @@ def p_si():
     return scale_parameters(1.67262192369e-27)
 
 
-@pytest.fixture(scope="session")
-def d_si(p_si):
-    return derive_constants(p_si)
-
-
 @dataclass(frozen=True)
 class CollapseRun:
     """The shared two-branch collapse ensemble: its config, what

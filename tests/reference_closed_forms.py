@@ -77,7 +77,7 @@ def phase_constants(a0: complex, p: ModelParams) -> PhaseConstants:
         raise ValueError("no relaxation constants at zero collapse rate")
     if not complex(a0).real > 0.0:
         raise ValueError("Re a0 must be positive")
-    A, B, d = _riccati_constants(p)
+    A, B = _riccati_constants(p)
     tau0 = 1j * (2.0 * complex(a0) + A) / B
     if abs(tau0 - 1.0) < 1e-14:
         return PhaseConstants(A=complex(A), B=complex(B),

@@ -168,7 +168,7 @@ class TestSuperpositionReduction:
 
 class TestVarianceContractionLaw:
     def test_drift_matches_prediction_at_checkpoints(self, collapse_run,
-                                                     p_nat, d_nat):
+                                                     p_nat):
         run = collapse_run
         sq2 = run.column("sigma_q_sq")
         sp2 = run.column("sigma_p_sq")
@@ -181,7 +181,7 @@ class TestVarianceContractionLaw:
             t_ck = 1.0 + 0.6 * j
             i = int(round(t_ck / dt_rec))
             fd = (so[i + 1] - so[i - 1]) / (2.0 * dt_rec)
-            pred = loc.drift_prediction(sq2[i], sp2[i], sqp2[i], p_nat, d_nat)
+            pred = loc.drift_prediction(sq2[i], sp2[i], sqp2[i], p_nat)
             assert np.all(pred <= 0.0)
             diff = fd - pred
             z = diff.mean() / (diff.std(ddof=1) / math.sqrt(n_traj))
@@ -269,7 +269,7 @@ class TestCharacteristicFlow:
             psis = np.broadcast_to(psi0, (2 * nb, grid.n)).copy()
             _, _, fin, ab = gr.evolve_batch(psis, grid, p_nat, dt, n_steps,
                                             inc, "nonlinear",
-                                            record_every=n_steps, d=d_nat)
+                                            record_every=n_steps)
             assert not ab.any()
             prob = np.abs(fin) ** 2
             prob /= prob.sum(axis=1, keepdims=True) * grid.dx
@@ -361,19 +361,18 @@ class TestMomentInequalities:
                 hbar=1.0))
         worst = 0.0
         for p in params:
-            res = loc.stationarity_residuals(p, derive_constants(p,
-                                                                 boltzmann=1.0))
+            res = loc.stationarity_residuals(p)
             worst = max(worst, abs(res.drift), abs(res.mixed),
                         abs(res.uncertainty))
         print(f"stationary identity residual: {worst:.3e}")
         assert worst < 1e-9
 
-    def test_contraction_never_reverses(self, p_nat, d_nat):
+    def test_contraction_never_reverses(self, p_nat):
         rng = np.random.default_rng(2718)
         t0 = time.perf_counter()
-        q2, p2, qp2 = loc.random_moment_triples(100_000, p_nat, rng, d_nat)
-        so = loc.sigma_O_sq(q2, p2, qp2, p_nat, d_nat)
-        dr = loc.drift_prediction(q2, p2, qp2, p_nat, d_nat)
+        q2, p2, qp2 = loc.random_moment_triples(100_000, p_nat, rng)
+        so = loc.sigma_O_sq(q2, p2, qp2, p_nat)
+        dr = loc.drift_prediction(q2, p2, qp2, p_nat)
         elapsed = time.perf_counter() - t0
         scale = float(np.max(np.abs(dr))) + 1.0
         print(f"over 10^5 moment draws: max drift {dr.max():.3e}, "

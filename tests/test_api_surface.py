@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller.
+"""Every public function and class of the package has a caller, and every
+option of a public function has a setter.
 
 A public top-level function or class of `src/dcollapse` stays only if a CLI
 command, a `verify` check or a script in `scripts/` reaches it.  The test
@@ -7,19 +8,22 @@ top-level definition of `cli.py`, and every package name a script refers
 to.  A reference is a name or an attribute in code (`ge.spreads`), never a
 mention in a docstring, so a function that only tests call is reported
 even when the module docs still name it.
+
+The same walk covers parameters: a defaulted parameter of a public function
+outside `cli.py` stays only if some call in the reached code passes it, by
+position or by keyword: an option that no caller sets is a constant.
+`cli.py`'s own definitions are exempt, since the console script calls
+`main()` with its defaults.
 """
 
 import ast
 import os
+from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "dcollapse"
 SRC = os.path.join(ROOT, "src", PACKAGE)
 SCRIPTS = os.path.join(ROOT, "scripts")
-
-# suggest_dt is kept for the `dt` pre-flight of ROADMAP item 2, which will
-# call it from the ensemble runner
-ALLOWED_WITHOUT_CALLER = {("grid", "suggest_dt")}
 
 
 def _parse(path):
@@ -78,25 +82,33 @@ class Module:
                         sub = a.name[len(PACKAGE) + 1:]
                         self.aliases[a.asname or a.name] = sub
 
+    def target(self, expr):
+        """The (module, name) that a name or attribute expression stands
+        for, or None; the module is None for a name of this file."""
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) \
+                and expr.value.id in self.aliases:
+            return self.aliases[expr.value.id], expr.attr
+        if isinstance(expr, ast.Name):
+            if expr.id in self.imported:
+                return self.imported[expr.id]
+            if expr.id in self.defs:
+                return None, expr.id
+        return None
+
     def references(self, node):
-        """(module, name) pairs that the code of `node` refers to; the
-        module is None for a name of this file."""
-        out = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
-                    and sub.value.id in self.aliases:
-                out.add((self.aliases[sub.value.id], sub.attr))
-            elif isinstance(sub, ast.Name):
-                if sub.id in self.imported:
-                    out.add(self.imported[sub.id])
-                elif sub.id in self.defs:
-                    out.add((None, sub.id))
-        return out
+        """(module, name) pairs that the code of `node` refers to."""
+        return {ref for sub in ast.walk(node)
+                if (ref := self.target(sub)) is not None}
 
 
 def _load_package():
     return {fn[:-3]: Module(_parse(os.path.join(SRC, fn)))
             for fn in sorted(os.listdir(SRC)) if fn.endswith(".py")}
+
+
+def _load_scripts():
+    return [_parse(os.path.join(SCRIPTS, fn))
+            for fn in sorted(os.listdir(SCRIPTS)) if fn.endswith(".py")]
 
 
 def _resolve(modules, mod, name):
@@ -125,28 +137,84 @@ def reachable(modules, roots):
     return seen
 
 
-def roots(modules):
+def roots(modules, scripts):
     out = {("cli", name) for name in modules["cli"].defs}
-    for fn in sorted(os.listdir(SCRIPTS)):
-        if fn.endswith(".py"):
-            tree = _parse(os.path.join(SCRIPTS, fn))
-            out |= {ref for ref in Module(tree).references(tree) if ref[0]}
+    for tree in scripts:
+        out |= {ref for ref in Module(tree).references(tree) if ref[0]}
     return out
 
 
-def unreached(modules):
-    seen = reachable(modules, roots(modules))
+def unreached(modules, scripts):
+    seen = reachable(modules, roots(modules, scripts))
     return sorted((mod, name) for mod, m in modules.items()
                   for name in m.public
-                  if (mod, name) not in seen
-                  and (mod, name) not in ALLOWED_WITHOUT_CALLER)
+                  if (mod, name) not in seen)
+
+
+def _parameters(fn: ast.FunctionDef):
+    """The positional parameter names of fn in order, and the names of
+    its parameters that have a default."""
+    a = fn.args
+    positional = [x.arg for x in a.posonlyargs + a.args]
+    defaulted = positional[len(positional) - len(a.defaults):]
+    defaulted += [x.arg for x, default in zip(a.kwonlyargs, a.kw_defaults)
+                  if default is not None]
+    return positional, defaulted
+
+
+def passed_parameters(modules, scripts):
+    """(module, function) -> the names of the parameters that some call in
+    the code the roots reach passes; a call that unpacks `*args` or
+    `**kwargs` passes them all."""
+    sources = [(mod, modules[mod], modules[mod].defs[name])
+               for mod, name in reachable(modules, roots(modules, scripts))
+               if name in modules[mod].defs]
+    sources += [(None, Module(tree), tree) for tree in scripts]
+    passed = defaultdict(set)
+    for mod, m, node in sources:
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call) \
+                    or (ref := m.target(call.func)) is None:
+                continue
+            callee = _resolve(modules, ref[0] or mod, ref[1])
+            fn = modules[callee[0]].defs.get(callee[1]) \
+                if callee[0] in modules else None
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional, defaulted = _parameters(fn)
+            if any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                passed[callee] |= set(positional + defaulted)
+            passed[callee] |= set(positional[:len(call.args)])
+            passed[callee] |= {k.arg for k in call.keywords}
+    return passed
+
+
+def unpassed_defaults(modules, scripts):
+    """(module, function, parameter) for every defaulted parameter of a
+    public function outside cli.py that no reached call passes."""
+    passed = passed_parameters(modules, scripts)
+    return sorted((mod, name, param)
+                  for mod, m in modules.items() if mod != "cli"
+                  for name in m.public
+                  if isinstance(m.defs[name], ast.FunctionDef)
+                  for param in _parameters(m.defs[name])[1]
+                  if param not in passed[(mod, name)])
 
 
 def test_every_public_definition_has_a_caller():
-    missing = unreached(_load_package())
+    missing = unreached(_load_package(), _load_scripts())
     assert not missing, (
         "public definitions that no CLI command, verify check or script "
         "reaches: " + ", ".join(f"{m}.{n}" for m, n in missing))
+
+
+def test_every_option_has_a_setter():
+    unset = unpassed_defaults(_load_package(), _load_scripts())
+    assert not unset, (
+        "defaulted parameters that no call from the CLI, a verify check or "
+        "a script passes: "
+        + ", ".join(f"{m}.{n}({p}=)" for m, n, p in unset))
 
 
 def test_walk_follows_aliases_and_ignores_docstrings():
@@ -160,3 +228,22 @@ def test_walk_follows_aliases_and_ignores_docstrings():
     tree = ast.parse(src)
     refs = Module(tree).references(tree)
     assert refs == {("master", "coeff_flow"), ("gaussian", "spreads")}
+
+
+def test_parameter_walk_counts_positional_and_keyword_passes():
+    lib = ast.parse(
+        "def scale(x, factor=2.0, offset=0.0, clip=None, *, mode='a'):\n"
+        "    return x\n")
+    cli = ast.parse(
+        "from .lib import scale\n"
+        "def main(verbose=False):\n"
+        "    return scale(1.0, 3.0), scale(2.0, offset=1.0)\n")
+    script = ast.parse(
+        "from dcollapse.lib import scale\n"
+        "scale(0.0, mode='b')\n")
+    modules = {"lib": Module(lib), "cli": Module(cli)}
+    # factor is passed by position, offset and mode by keyword; main's
+    # verbose is exempt as a cli.py definition
+    assert unpassed_defaults(modules, [script]) == [("lib", "scale", "clip")]
+    assert unpassed_defaults(modules, []) == [("lib", "scale", "clip"),
+                                              ("lib", "scale", "mode")]

@@ -142,6 +142,20 @@ class TestTables:
         out = capsys.readouterr().out
         assert "beta_t=" in out
 
+    @pytest.mark.parametrize("command", ["master", "density"])
+    def test_superposition_is_refused(self, tmp_path, capsys, command):
+        # both tables describe a single Gaussian start; a superposition
+        # would silently be read as one packet at xbar0
+        cfg = ExperimentConfig(initial="superposition", centers=(-5.0, 3.0),
+                               weights=(0.3, 0.7), x_min=-32.0, x_max=32.0)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", path, "--out", str(out)])
+        assert rc == 1
+        assert "needs a Gaussian initial state" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrajectory:
     def test_nonlinear_run(self, tmp_path):
@@ -208,12 +222,12 @@ class TestEnsemble:
         rc = cli.main(["ensemble", "--config", path, "--out",
                        str(tmp_path / "one")])
         assert rc == 0
-        for name in ("moments.csv", "density.csv", "final_q_hist.csv"):
+        for name in ("moments.csv", "final_density.csv", "final_q_hist.csv"):
             assert (tmp_path / "one" / name).exists()
         rc = cli.main(["ensemble", "--config", path, "--out",
                        str(tmp_path / "two")])
         assert rc == 0
-        for name in ("moments.csv", "density.csv", "final_q_hist.csv"):
+        for name in ("moments.csv", "final_density.csv", "final_q_hist.csv"):
             one = open(tmp_path / "one" / name).read()
             two = open(tmp_path / "two" / name).read()
             assert one == two
@@ -337,7 +351,21 @@ class TestEnsemble:
         stdout = capsys.readouterr().out
         assert "localized at end" not in stdout and "L1(" not in stdout
         assert sorted(os.listdir(tmp_path)) == [
-            "density.csv", "exp.cfg", "final_q_hist.csv", "moments.csv"]
+            "exp.cfg", "final_density.csv", "final_q_hist.csv", "moments.csv"]
+
+    def test_shares_a_directory_with_density(self, tmp_path):
+        # the ensemble's final density and the master density routes are
+        # two files, so neither command overwrites the other's
+        cfg = ExperimentConfig(n_trajectories=4, batch_size=4, n_steps=20)
+        path = str(tmp_path / "exp.cfg")
+        cfg.to_file(path)
+        for command in ("density", "ensemble"):
+            rc = cli.main([command, "--config", path, "--out", str(tmp_path)])
+            assert rc == 0
+        schema, _, _ = read_csv(str(tmp_path / "density.csv"))
+        assert schema == "# schema=density-v1"
+        schema, _, _ = read_csv(str(tmp_path / "final_density.csv"))
+        assert schema == "# schema=ensemble-density-v1"
 
 
 class TestErrors:
@@ -424,7 +452,7 @@ class TestVerify:
         broken = loc.StationarityResiduals(drift=1.0, mixed=0.0,
                                            uncertainty=0.0)
         monkeypatch.setattr(cli.loc, "stationarity_residuals",
-                            lambda p, d: broken)
+                            lambda p: broken)
         rc = cli.main(["verify", "--out", str(tmp_path)])
         assert rc == 2
         with open(tmp_path / "verify.json") as f:

@@ -217,7 +217,7 @@ class TestSummaryFiles:
         summary = en.run_ensemble(SMALL)
         paths = summary.save(str(tmp_path), fmt="csv")
         names = sorted(p.split("/")[-1] for p in paths)
-        assert names == ["density.csv", "final_q_hist.csv", "moments.csv"]
+        assert names == ["final_density.csv", "final_q_hist.csv", "moments.csv"]
         for p in paths:
             with open(p) as f:
                 first = f.readline()

@@ -81,7 +81,7 @@ class TestPhaseConstants:
 
     def test_degenerate_direction_raises(self, p_nat):
         # tau0 = -1 corresponds to the unreachable repulsive branch
-        A, B, _ = ge._riccati_constants(p_nat)
+        A, B = ge._riccati_constants(p_nat)
         a_bad = (-A - 1j * B * (-1.0)) / 2.0
         with pytest.raises(ValueError):
             rcf.phase_constants(complex(a_bad), p_nat)
@@ -185,7 +185,7 @@ class TestCovariance:
         t_grid = np.linspace(0.0, 6.0, 121)
         path = ge.integrate_covariance(
             lambda t: complex(d_nat.a_inf), t_grid, p_nat, substeps=8)
-        closed = ge.stationary_covariance(t_grid, p_nat, d_nat)
+        closed = ge.stationary_covariance(t_grid, p_nat)
         for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
                           (path.pp, closed.pp)]:
             scale = np.max(np.abs(want)) + 1e-30
@@ -201,7 +201,7 @@ class TestCovariance:
         rate_qq, rate_qp, rate_pp = lam * s * s, lam * hb * c * s, \
             lam * hb * hb * c * c
         t = 1e-6
-        cov = ge.stationary_covariance(t, p_nat, d_nat)
+        cov = ge.stationary_covariance(t, p_nat)
         assert cov.qq == pytest.approx(rate_qq * t, rel=1e-4)
         assert cov.qp == pytest.approx(rate_qp * t, rel=1e-4)
         assert cov.pp == pytest.approx(rate_pp * t, rel=1e-4)
@@ -211,7 +211,7 @@ class TestCovariance:
                        p_nat.hbar)
         c = 2.0 * d_nat.sigma_qp_bar_sq / hb
         cap = hb * hb * c * c / (4.0 * al)
-        cov = ge.stationary_covariance(1e4, p_nat, d_nat)
+        cov = ge.stationary_covariance(1e4, p_nat)
         assert cov.pp == pytest.approx(cap, rel=1e-10)
         # and the capped momentum variance completes the energy floor
         e_inf = (d_nat.sigma_p_bar ** 2 + cap) / (2.0 * p_nat.mass)
@@ -224,15 +224,15 @@ class TestCovariance:
         t_grid = np.linspace(0.0, 4.0, 81)
         path = ge.integrate_covariance(lambda t: complex(d.a_inf), t_grid, p,
                                        substeps=8)
-        closed = ge.stationary_covariance(t_grid, p, d)
+        closed = ge.stationary_covariance(t_grid, p)
         for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
                           (path.pp, closed.pp)]:
             scale = np.max(np.abs(want)) + 1e-30
             assert np.max(np.abs(got - want)) / scale < 1e-8
 
-    def test_covariance_positive_definite(self, p_nat, d_nat):
+    def test_covariance_positive_definite(self, p_nat):
         for t in (0.3, 1.0, 4.0, 20.0):
-            cov = ge.stationary_covariance(t, p_nat, d_nat)
+            cov = ge.stationary_covariance(t, p_nat)
             assert cov.qq > 0.0
             assert cov.pp > 0.0
             assert cov.qq * cov.pp - cov.qp ** 2 > 0.0
@@ -245,10 +245,10 @@ class TestCovariance:
         width = 2.0 * d_nat.sigma_q_bar ** 2 - al
         tilt = d_nat.sigma_qp_bar_sq / (lam * al * m)
         t = 1e-5
-        cov = ge.stationary_covariance(t, p_nat, d_nat)
+        cov = ge.stationary_covariance(t, p_nat)
         assert cov.qq == pytest.approx(lam * width ** 2 * t, rel=1e-3)
         t1, t2 = np.array([50.0, 100.0]) / (2.0 * lam * al)
-        late = ge.stationary_covariance(np.array([t1, t2]), p_nat, d_nat)
+        late = ge.stationary_covariance(np.array([t1, t2]), p_nat)
         slope = (late.qq[1] - late.qq[0]) / (t2 - t1)
         assert slope == pytest.approx(lam * (tilt + width) ** 2, rel=1e-9)
 

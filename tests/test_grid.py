@@ -17,10 +17,10 @@ FREE = ModelParams(mass=1.0, collapse_rate=0.0, momentum_coupling=0.5,
                    hbar=1.0)
 
 
-def initial_record(psi, grid, p, d):
+def initial_record(psi, grid, p):
     """The t = 0 record of a single state, as a field -> value dict."""
     _, recs, _, _ = gr.evolve_batch(psi, grid, p, 0.01, 0, np.zeros((1, 0)),
-                                    record_every=1, d=d)
+                                    record_every=1)
     return dict(zip(gr.RECORD_FIELDS, recs[0, 0]))
 
 
@@ -83,10 +83,10 @@ class TestNoiseStream:
 
 
 class TestMoments:
-    def test_match_closed_forms_spectrally(self, grid, p_nat, d_nat):
+    def test_match_closed_forms_spectrally(self, grid, p_nat):
         g = ge.GaussianState(a=0.8 + 0.3j, xbar=-0.4, kbar=0.6)
         psi = gr.build_gaussian(grid, g)
-        rec = initial_record(psi, grid, p_nat, d_nat)
+        rec = initial_record(psi, grid, p_nat)
         tr = ge.spreads(g.a, p_nat)
         assert rec["q_mean"] == pytest.approx(g.xbar, abs=1e-10)
         assert rec["p_mean"] == pytest.approx(p_nat.hbar * g.kbar, abs=1e-10)
@@ -103,9 +103,9 @@ class TestMoments:
         for a in (0.8 + 0.3j, 0.4 - 0.5j, complex(d_nat.a_inf)):
             g = ge.GaussianState(a=a, xbar=0.7, kbar=-0.2)
             psi = gr.build_gaussian(grid, g)
-            rec = initial_record(psi, grid, p_nat, d_nat)
+            rec = initial_record(psi, grid, p_nat)
             via_moments = lo.sigma_O_sq(rec["sigma_q_sq"], rec["sigma_p_sq"],
-                                        rec["sigma_qp_sq"], p_nat, d_nat)
+                                        rec["sigma_qp_sq"], p_nat)
             pure = 4.0 * p_nat.hbar ** 2 * abs(a - complex(d_nat.a_inf)) ** 2 \
                 * rec["sigma_q_sq"]
             assert rec["sigma_O_sq"] == pytest.approx(via_moments, rel=1e-8,
@@ -113,11 +113,11 @@ class TestMoments:
             assert rec["sigma_O_sq"] == pytest.approx(pure, rel=1e-8,
                                                       abs=1e-10)
 
-    def test_normalization_is_divided_out(self, grid, p_nat, d_nat):
+    def test_normalization_is_divided_out(self, grid, p_nat):
         g = ge.GaussianState(a=0.8 + 0.3j, xbar=-0.4, kbar=0.6)
         psi = gr.build_gaussian(grid, g)
-        one = initial_record(psi, grid, p_nat, d_nat)
-        two = initial_record(3.7 * psi, grid, p_nat, d_nat)
+        one = initial_record(psi, grid, p_nat)
+        two = initial_record(3.7 * psi, grid, p_nat)
         assert two["q_mean"] == pytest.approx(one["q_mean"], abs=1e-12)
         assert two["sigma_p_sq"] == pytest.approx(one["sigma_p_sq"],
                                                   rel=1e-12)
@@ -125,7 +125,7 @@ class TestMoments:
 
 
 class TestSuperposition:
-    def test_weights_set_interval_probabilities(self, grid, d_nat, p_nat):
+    def test_weights_set_interval_probabilities(self, grid, p_nat):
         psi = gr.build_superposition(grid, 2.0 + 0.0j, (-5.0, 5.0),
                                      (0.3, 0.7))
         assert float(gr.grid_norm_sq(psi, grid)) == pytest.approx(1.0,
@@ -133,14 +133,14 @@ class TestSuperposition:
         prob = np.abs(psi) ** 2 * grid.dx
         right = float(prob[grid.x > 0.0].sum())
         assert right == pytest.approx(0.7, abs=1e-9)
-        rec = initial_record(psi, grid, p_nat, d_nat)
+        rec = initial_record(psi, grid, p_nat)
         assert rec["q_mean"] == pytest.approx(0.3 * -5.0 + 0.7 * 5.0,
                                               abs=1e-6)
 
-    def test_kbars_set_branch_momenta(self, grid, d_nat, p_nat):
+    def test_kbars_set_branch_momenta(self, grid, p_nat):
         psi = gr.build_superposition(grid, 2.0 + 0.0j, (-5.0, 5.0),
                                      (0.3, 0.7), kbars=(1.0, -2.0))
-        rec = initial_record(psi, grid, p_nat, d_nat)
+        rec = initial_record(psi, grid, p_nat)
         want = p_nat.hbar * (0.3 * 1.0 + 0.7 * -2.0)
         assert rec["p_mean"] == pytest.approx(want, abs=1e-6)
 
@@ -168,7 +168,7 @@ class TestFreeEvolution:
 
 
 class TestPathwiseWidths:
-    def test_track_closed_form_and_converge(self, grid, p_nat, d_nat, packet):
+    def test_track_closed_form_and_converge(self, grid, p_nat, packet):
         psi0 = gr.build_gaussian(grid, packet)
         iq = gr.RECORD_FIELDS.index("sigma_q_sq")
         ip = gr.RECORD_FIELDS.index("sigma_p_sq")
@@ -178,7 +178,7 @@ class TestPathwiseWidths:
             inc = gr.NoiseStream(42, 3).increments(n_steps, dt)
             times, recs, _, aborted = gr.evolve_batch(
                 psi0, grid, p_nat, dt, n_steps, inc[None, :],
-                equation="nonlinear", record_every=5, d=d_nat)
+                equation="nonlinear", record_every=5)
             assert not aborted[0]
             a_t = ge.a_closed_form(packet.a, times, p_nat)
             q_err = np.max(np.abs(recs[:, 0, iq] / (0.25 / a_t.real) - 1.0))
@@ -194,7 +194,7 @@ class TestPathwiseWidths:
         # the width flow is noise-independent, so refining dt must help
         assert errs[0.005] < errs[0.02]
 
-    def test_means_match_reduced_dynamics(self, grid, p_nat, d_nat, packet):
+    def test_means_match_reduced_dynamics(self, grid, p_nat, packet):
         # same Brownian increments through the full PDE and through the
         # closed mean/width recursion
         n_steps, dt = 200, 0.005
@@ -205,7 +205,7 @@ class TestPathwiseWidths:
                                     t_grid, p_nat, inc[:, None])
         times, recs, _, aborted = gr.evolve_batch(
             psi0, grid, p_nat, dt, n_steps, inc[None, :],
-            equation="nonlinear", record_every=10, d=d_nat)
+            equation="nonlinear", record_every=10)
         assert not aborted[0]
         idx = np.rint(times / dt).astype(int)
         qm = recs[:, 0, gr.RECORD_FIELDS.index("q_mean")]
@@ -215,8 +215,7 @@ class TestPathwiseWidths:
 
 
 class TestMartingale:
-    def test_linear_norm_is_conserved_in_mean(self, grid, p_nat, d_nat,
-                                              packet):
+    def test_linear_norm_is_conserved_in_mean(self, grid, p_nat, packet):
         B, n_steps, dt = 2000, 50, 0.01
         psi0 = np.broadcast_to(gr.build_gaussian(grid, packet),
                                (B, grid.n)).copy()
@@ -224,36 +223,35 @@ class TestMartingale:
         inc = rng.standard_normal((B, n_steps)) * math.sqrt(dt)
         _, recs, _, aborted = gr.evolve_batch(
             psi0, grid, p_nat, dt, n_steps, inc, equation="linear",
-            record_every=n_steps, d=d_nat)
+            record_every=n_steps)
         assert not aborted.any()
         n2 = recs[-1, :, gr.RECORD_FIELDS.index("norm_sq")]
         se = n2.std(ddof=1) / math.sqrt(B)
         assert abs(float(n2.mean()) - 1.0) < 4.0 * se
 
-    def test_nonlinear_records_unit_norm(self, grid, p_nat, d_nat, packet):
+    def test_nonlinear_records_unit_norm(self, grid, p_nat, packet):
         psi0 = gr.build_gaussian(grid, packet)
         inc = gr.NoiseStream(3, 0).increments(20, 0.01)
         _, recs, _, _ = gr.evolve_batch(psi0, grid, p_nat, 0.01, 20,
                                         inc[None, :], equation="nonlinear",
-                                        record_every=5, d=d_nat)
+                                        record_every=5)
         norms = recs[:, 0, gr.RECORD_FIELDS.index("norm_sq")]
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 class TestNoiseShiftEquivalence:
-    def test_linear_step_with_shifted_noise(self, grid, p_nat, d_nat, packet):
+    def test_linear_step_with_shifted_noise(self, grid, p_nat, packet):
         # the physical step equals the linear step driven by the mean-shifted
         # increment, after renormalization and up to the O(dt) difference of
         # the two discretizations
         psi0 = gr.build_gaussian(grid, packet)
-        r = initial_record(psi0, grid, p_nat, d_nat)["q_mean"]
+        r = initial_record(psi0, grid, p_nat)["q_mean"]
         root = math.sqrt(p_nat.collapse_rate)
 
         def one_step(equation, dxi, dt):
             _, _, psi, _ = gr.evolve_batch(psi0, grid, p_nat, dt, 1,
                                            np.array([[dxi]]),
-                                           equation=equation, record_every=1,
-                                           d=d_nat)
+                                           equation=equation, record_every=1)
             return psi[0]
 
         def one_step_diff(z, dt, sign):
@@ -276,26 +274,26 @@ class TestNoiseShiftEquivalence:
 
 
 class TestGuards:
-    def test_aliased_state_flags_abort(self, grid, p_nat, d_nat):
+    def test_aliased_state_flags_abort(self, grid, p_nat):
         psi = gr.build_gaussian(grid, ge.GaussianState(a=0.7, xbar=0.0,
                                                        kbar=0.0))
         hot = psi * np.exp(1j * 0.8 * math.pi / grid.dx * grid.x)
         inc = np.zeros((1, 2))
         _, _, _, aborted = gr.evolve_batch(hot, grid, p_nat, 0.01, 2, inc,
                                            equation="nonlinear",
-                                           record_every=1, d=d_nat)
+                                           record_every=1)
         assert aborted[0]
 
-    def test_boundary_leak_flags_abort(self, grid, p_nat, d_nat):
+    def test_boundary_leak_flags_abort(self, grid, p_nat):
         near_edge = ge.GaussianState(a=0.7, xbar=15.0, kbar=0.0)
         psi = gr.build_gaussian(grid, near_edge)
         inc = np.zeros((1, 2))
         _, _, _, aborted = gr.evolve_batch(psi, grid, p_nat, 0.01, 2, inc,
                                            equation="nonlinear",
-                                           record_every=1, d=d_nat)
+                                           record_every=1)
         assert aborted[0]
 
-    def test_linear_batch_flags_blowup(self, grid, p_nat, d_nat, packet):
+    def test_linear_batch_flags_blowup(self, grid, p_nat, packet):
         # a flagged row is not integrated on into an overflow: no numpy
         # warning however long the run goes on after the flag
         psi0 = gr.build_gaussian(grid, packet)
@@ -305,10 +303,10 @@ class TestGuards:
                 warnings.simplefilter("error")
                 _, _, _, aborted = gr.evolve_batch(
                     psi0, grid, p_nat, 0.01, n_steps, inc, equation="linear",
-                    record_every=1, d=d_nat)
+                    record_every=1)
             assert aborted[0]
 
-    def test_norm_loss_flags_abort(self, grid, p_nat, d_nat, packet):
+    def test_norm_loss_flags_abort(self, grid, p_nat, packet):
         # an underflowed or zero norm gives NaN moments and an abort, and no
         # numpy overflow or invalid-value warnings; below about 1e-170
         # |psi|^2 underflows to 0, and the recorded norm must stay 0, not NaN
@@ -320,7 +318,7 @@ class TestGuards:
                     _, recs, _, aborted = gr.evolve_batch(
                         amp * psi, grid, p_nat, 0.01, 2,
                         np.full((1, 2), 0.01), equation=equation,
-                        record_every=1, d=d_nat)
+                        record_every=1)
                 assert aborted[0]
                 assert np.isnan(recs[:, 0, 1:-1]).all()
                 if amp == 1e-160:
@@ -349,13 +347,13 @@ class TestGuards:
 
     @pytest.mark.parametrize("amp", [1e-130, 1e120])
     def test_scaled_input_gives_the_normalised_records(self, grid, p_nat,
-                                                       d_nat, packet, amp):
+                                                       packet, amp):
         # with one record at each end, a nonlinear row far from unit norm
         # (but above the underflow floor) is renormalised by its first step
         # and then follows the normalised input
         psi = gr.build_gaussian(grid, packet)
         inc = gr.NoiseStream(6, 0).increments(40, 0.01)[None, :]
-        run = dict(equation="nonlinear", record_every=40, d=d_nat)
+        run = dict(equation="nonlinear", record_every=40)
         _, want, want_psi, want_aborted = gr.evolve_batch(
             psi, grid, p_nat, 0.01, 40, inc, **run)
         _, recs, final, aborted = gr.evolve_batch(
@@ -367,14 +365,14 @@ class TestGuards:
         assert np.max(np.abs(recs[0, 0, 1:-1] - want[0, 0, 1:-1])) < 1e-13
 
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
-    def test_nonfinite_row_aborts_alone(self, grid, p_nat, d_nat, packet,
+    def test_nonfinite_row_aborts_alone(self, grid, p_nat, packet,
                                         equation):
         good = gr.build_gaussian(grid, packet)
         bad = good.copy()
         bad[100] = np.nan
         inc = np.stack([gr.NoiseStream(8, i).increments(12, 0.01)
                         for i in range(2)])
-        run = dict(equation=equation, record_every=4, d=d_nat)
+        run = dict(equation=equation, record_every=4)
         _, recs, psi, aborted = gr.evolve_batch(
             np.stack([good, bad]), grid, p_nat, 0.01, 12, inc, **run)
         _, recs1, psi1, aborted1 = gr.evolve_batch(
@@ -399,13 +397,13 @@ class TestGuards:
 
 class TestBuffers:
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
-    def test_inputs_kept_and_outputs_owned(self, grid, p_nat, d_nat, packet,
+    def test_inputs_kept_and_outputs_owned(self, grid, p_nat, packet,
                                            equation):
         psi0 = np.stack([gr.build_gaussian(grid, packet)] * 3)
         inc = np.stack([gr.NoiseStream(4, i).increments(9, 0.01)
                         for i in range(3)])
         psi0_before, inc_before = psi0.copy(), inc.copy()
-        run = dict(equation=equation, record_every=4, d=d_nat)
+        run = dict(equation=equation, record_every=4)
         first = gr.evolve_batch(psi0, grid, p_nat, 0.01, 9, inc, **run)
         second = gr.evolve_batch(psi0, grid, p_nat, 0.01, 9, inc, **run)
         assert np.array_equal(psi0, psi0_before)
@@ -422,49 +420,23 @@ class TestBuffers:
             assert np.array_equal(b, want)
 
 
-class TestStepControl:
-    def test_suggest_dt_scalings(self, grid, p_nat, packet):
-        psi = gr.build_gaussian(grid, packet)
-        base = gr.suggest_dt(psi, grid, p_nat)
-        assert 0.0 < base < math.inf
-        double_rate = ModelParams(mass=p_nat.mass,
-                                  collapse_rate=2.0 * p_nat.collapse_rate,
-                                  momentum_coupling=p_nat.momentum_coupling,
-                                  hbar=p_nat.hbar)
-        assert gr.suggest_dt(psi, grid, double_rate) == pytest.approx(
-            base / 2.0, rel=1e-12)
-        assert gr.suggest_dt(psi, grid, p_nat, budget=0.1) == pytest.approx(
-            2.0 * base, rel=1e-12)
-        assert gr.suggest_dt(psi, grid, FREE) == math.inf
-
-    def test_suggest_dt_is_translation_invariant(self, grid, p_nat):
-        a = 0.9 + 0.2j
-        at0 = gr.build_gaussian(grid, ge.GaussianState(a=a, xbar=0.0,
-                                                       kbar=0.0))
-        at8 = gr.build_gaussian(grid, ge.GaussianState(a=a, xbar=8.0,
-                                                       kbar=0.0))
-        assert gr.suggest_dt(at8, grid, p_nat) == pytest.approx(
-            gr.suggest_dt(at0, grid, p_nat), rel=0.2)
-
-
 class TestRecordSteps:
-    def test_record_grid_includes_endpoint(self, grid, p_nat, d_nat, packet):
+    def test_record_grid_includes_endpoint(self, grid, p_nat, packet):
         assert gr.record_steps(7, 3) == [0, 3, 6, 7]
         assert gr.record_steps(6, 3) == [0, 3, 6]
         psi0 = gr.build_gaussian(grid, packet)
         inc = gr.NoiseStream(1, 0).increments(7, 0.01)[None, :]
         times, recs, _, _ = gr.evolve_batch(psi0, grid, p_nat, 0.01, 7, inc,
-                                            record_every=3, d=d_nat)
+                                            record_every=3)
         assert np.allclose(times, [0.0, 0.03, 0.06, 0.07], atol=1e-12)
         assert np.array_equal(recs[:, 0, gr.RECORD_FIELDS.index("t")], times)
 
-    def test_time_column_is_record_steps_times_dt(self, grid, p_nat, d_nat,
-                                                  packet):
+    def test_time_column_is_record_steps_times_dt(self, grid, p_nat, packet):
         # exactly the product, not a running sum: 3 * 0.1 is not 0.3
         psi0 = np.stack([gr.build_gaussian(grid, packet)] * 3)
         inc = np.zeros((3, 7))
         times, recs, _, _ = gr.evolve_batch(psi0, grid, p_nat, 0.1, 7, inc,
-                                            record_every=3, d=d_nat)
+                                            record_every=3)
         want = np.asarray(gr.record_steps(7, 3)) * 0.1
         assert np.array_equal(times, want)
         assert np.array_equal(recs[:, :, gr.RECORD_FIELDS.index("t")],
@@ -480,7 +452,7 @@ class TestReferenceKernel:
                         for i in range(len(psi0))])
         times, recs, psi, aborted = gr.evolve_batch(
             psi0, grid, p, dt, n_steps, inc, equation=equation,
-            record_every=every, d=d)
+            record_every=every)
         want_t, want_recs, want_psi = reference_kernel.evolve(
             psi0, grid, p, dt, n_steps, inc, equation, every, d.a_inf)
         assert not aborted.any()
@@ -510,7 +482,7 @@ class TestReferenceKernel:
         self.check_matches(psi0, wide, p_nat, d_nat, 0.005, 60, 1, equation)
 
     @pytest.mark.parametrize("equation", ["nonlinear", "linear"])
-    def test_fft_calls_per_step_and_record(self, grid, p_nat, d_nat, packet,
+    def test_fft_calls_per_step_and_record(self, grid, p_nat, packet,
                                            equation, monkeypatch):
         calls = []
 
@@ -528,5 +500,5 @@ class TestReferenceKernel:
         for every, n_records in ((10, 2), (1, 11)):
             calls.clear()
             gr.evolve_batch(psi0, grid, p_nat, 0.01, 10, inc,
-                            equation=equation, record_every=every, d=d_nat)
+                            equation=equation, record_every=every)
             assert len(calls) == 3 * 10 + 2 * n_records

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.constants import HBAR, BOLTZMANN, NUCLEON_MASS, FundamentalConstants
-from dcollapse.model import (
-    ModelParams, derive_constants, scale_parameters, uncertainty_product,
-)
+from dcollapse.constants import HBAR, NUCLEON_MASS, FundamentalConstants
+from dcollapse.model import ModelParams, derive_constants, scale_parameters
 
 
 def test_scale_parameters_reference_mass():
@@ -100,7 +98,7 @@ def test_zero_momentum_coupling_energy_floor():
 
 
 def test_uncertainty_product_at_least_half_hbar(d_nat, p_nat):
-    prod = uncertainty_product(d_nat)
+    prod = d_nat.sigma_q_bar * d_nat.sigma_p_bar
     assert prod >= 0.5 * p_nat.hbar - 1e-15
     # the stationary state saturates the generalized relation instead
     lhs = (d_nat.sigma_q_bar * d_nat.sigma_p_bar) ** 2 \
@@ -115,7 +113,7 @@ def test_uncertainty_product_random_couplings(lam, al):
     p = ModelParams(mass=1.0, collapse_rate=lam, momentum_coupling=al,
                     hbar=1.0)
     d = derive_constants(p, boltzmann=1.0)
-    assert uncertainty_product(d) >= 0.5 - 1e-12
+    assert d.sigma_q_bar * d.sigma_p_bar >= 0.5 - 1e-12
 
 
 def test_params_validation():
@@ -155,4 +153,3 @@ def test_fundamental_constants_frozen():
     assert fc.collapse_rate_base == 1e-2
     assert fc.momentum_coupling_base == 1e-18
     assert fc.reference_mass == NUCLEON_MASS
-    assert fc.boltzmann == BOLTZMANN
