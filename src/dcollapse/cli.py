@@ -89,6 +89,8 @@ def cmd_constants(args) -> int:
         p = scale_parameters(mass, FundamentalConstants())
         d = derive_constants(p)
     else:
+        if args.mass is not None:
+            cfg = cfg.replace(mass=args.mass)
         p = cfg.params()
         d = derive_constants(p, boltzmann=1.0)
     rows = {

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -334,6 +333,8 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     sizes = [min(cfg.batch_size, cfg.n_trajectories - s) for s in starts]
     # both maps return the batches in start order
     if cfg.n_workers > 1:
+        # imported here: the pool costs a serial run about 20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.n_workers) as ex:
             results = list(ex.map(_run_batch, repeat(cfg), starts, sizes))
     else:

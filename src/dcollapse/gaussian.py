@@ -32,7 +32,6 @@ product of the cancellation-safe kernels in `numerics`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -106,13 +105,18 @@ def a_closed_form(a0, t, p: ModelParams):
         raise ValueError("Re a0 must be positive")
     m, hb = p.mass, p.hbar
     if p.collapse_rate == 0.0:
-        out = a0 / (1.0 + 2j * hb * a0 * t / m)
+        out = _free_width(a0, t, m, hb)
     else:
         A, B = _riccati_constants(p)
         tau0 = 1j * (2.0 * a0 + A) / B
         T = np.tanh((hb / m) * B * t)
         out = -A / 2.0 - 0.5j * B * (tau0 + T) / (1.0 + tau0 * T)
     return complex(out) if out.ndim == 0 else out
+
+
+def _free_width(a0, t, m, hb):
+    """Free-spreading width law on numpy operands a0 (complex) and t."""
+    return a0 / (1.0 + 2j * hb * a0 * t / m)
 
 
 def integrate_a_ode(a0, t_grid, p: ModelParams, substeps: int = 1):
@@ -178,8 +182,8 @@ def wavefunction(g: GaussianState, x, p: ModelParams):
 
 def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
     """Collapse-free (unitary) evolution of a Gaussian state for time t."""
-    free = dataclasses.replace(p, collapse_rate=0.0)
-    a_t = a_closed_form(g.a, t, free)
+    a_t = complex(_free_width(np.asarray(g.a, dtype=complex),
+                              np.asarray(t, dtype=float), p.mass, p.hbar))
     return GaussianState(a=a_t, xbar=g.xbar + p.hbar * g.kbar * t / p.mass,
                          kbar=g.kbar)
 

@@ -16,12 +16,19 @@ threshold.  Series coefficients are generated from integer arithmetic at
 import time, and the retained order makes the truncation error far below
 double precision at the switch point.
 
+The callers pass a scalar u, and a scalar is evaluated as a float: Horner
+runs on Python floats, whose products and sums round exactly as numpy's do.
+The final power u^n and the exponentials of the direct branch still go
+through numpy on a 0-d array, because libm's pow and exp (Python's ** and
+math.exp) round differently from numpy's on a few percent of arguments.  So
+a scalar call returns a float equal, bit for bit, to the same element of an
+array call.
+
 Signs for u >= 0: gamma, f2 >= 0; k1, k2, k3 <= 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -30,49 +37,51 @@ _N_TERMS = 40
 _SWITCH = 0.75
 
 
-def _series_coeffs(coeff_of_n, n_min):
-    """Float Horner table for sum_{n>=n_min} coeff_of_n(n) u^n, exact until cast."""
-    return np.array(
-        [float(coeff_of_n(n)) for n in range(n_min, _N_TERMS + 1)], dtype=float
-    )
+def _series_coeffs(num_of_n, n_min):
+    """Horner table for sum_{n>=n_min} num_of_n(n) / n! u^n.
+
+    Integer true division rounds correctly, so each entry is the exact
+    rational coefficient rounded once.
+    """
+    return [num_of_n(n) / factorial(n) for n in range(n_min, _N_TERMS + 1)]
 
 
-_F2_COEFFS = _series_coeffs(lambda n: Fraction((-1) ** n, factorial(n)), 2)
-_K1_COEFFS = _series_coeffs(
-    lambda n: Fraction((-1) ** (n + 1) * (4 - 2**n), factorial(n)), 3
-)
-_K2_COEFFS = _series_coeffs(
-    lambda n: Fraction((-1) ** n * (2**n - 2 * n), factorial(n)), 3
-)
-_K3_COEFFS = _series_coeffs(
-    lambda n: Fraction((-1) ** n * (2**n * n + 4 - 3 * 2**n), factorial(n)), 3
-)
+_F2_COEFFS = _series_coeffs(lambda n: (-1) ** n, 2)
+_K1_COEFFS = _series_coeffs(lambda n: (-1) ** (n + 1) * (4 - 2**n), 3)
+_K2_COEFFS = _series_coeffs(lambda n: (-1) ** n * (2**n - 2 * n), 3)
+_K3_COEFFS = _series_coeffs(lambda n: (-1) ** n * (2**n * n + 4 - 3 * 2**n), 3)
 
 
-def _horner(u, coeffs, n_min):
-    acc = np.full_like(u, coeffs[-1])
+def _horner(u, coeffs):
+    """sum_j coeffs[j] u^j for a float or an array u."""
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * u + c
-    return acc * u**n_min
+    return acc
 
 
 def _eval_kernel(u, coeffs, n_min, direct):
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u1 = np.atleast_1d(u)
-    out = np.empty_like(u1)
-    small = u1 < _SWITCH
+    if u.ndim == 0:
+        v = float(u)
+        if v < _SWITCH:
+            return _horner(v, coeffs) * float(np.power(u, n_min))
+        return float(direct(u))
+    out = np.empty_like(u)
+    small = u < _SWITCH
     if small.any():
-        out[small] = _horner(u1[small], coeffs, n_min)
+        us = u[small]
+        out[small] = _horner(us, coeffs) * us**n_min
     big = ~small
     if big.any():
-        out[big] = direct(u1[big])
-    return float(out[0]) if scalar else out
+        out[big] = direct(u[big])
+    return out
 
 
 def one_minus_exp(u):
     """gamma(u) = 1 - e^-u, accurate for all u >= 0."""
-    return -np.expm1(-np.asarray(u, dtype=float))
+    out = -np.expm1(-np.asarray(u, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def f2(u):

@@ -25,13 +25,16 @@ def read_csv(path):
 
 class TestImport:
     def test_cli_imports_no_scipy(self):
-        # scipy is a test dependency only; importing it would slow the
+        # scipy is a test dependency only, the process pool is imported by
+        # a run with more than one worker, and the series tables need no
+        # rational arithmetic; importing any of them would slow the
         # start-up and grow the resident memory of every command
         root = os.path.dirname(os.path.dirname(dcollapse.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])))
         code = ("import sys, dcollapse.cli; print(sorted(m for m in "
-                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+                "sys.modules if m.split('.')[0] in ('scipy', "
+                "'multiprocessing', 'concurrent', 'fractions')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -90,6 +93,23 @@ class TestConstants:
                                                   rel=1e-12)
         ratio = ref["sigma_q_bar"] / kg["sigma_q_bar"]
         assert ratio == pytest.approx(1.0 / math.sqrt(ref["mass"]), rel=1e-9)
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_mass_flag_sets_the_mass(self, tmp_path, units):
+        rows = {}
+        for tag, extra in (("flag", ["--mass", "5"]), ("default", [])):
+            rc = cli.main(["constants", "--units", units, "--format", "json",
+                           "--out", str(tmp_path / tag)] + extra)
+            assert rc == 0
+            with open(tmp_path / tag / "constants.json") as f:
+                rows[tag] = json.load(f)
+        row = rows["flag"]
+        assert row["mass"] == 5.0
+        assert rows["default"]["mass"] != 5.0
+        # the derived constants follow the mass: E_inf = hbar^2 / (8 m alpha)
+        assert row["energy_inf"] == pytest.approx(
+            row["hbar"] ** 2 / (8.0 * row["mass"] * row["momentum_coupling"]),
+            rel=1e-12)
 
 
 class TestTables:

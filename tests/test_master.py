@@ -392,6 +392,15 @@ class TestPositionDensity:
         pf = ms.position_density(g0, 0.6, p, x, method="free")
         assert np.max(np.abs(pe.density - pf.density)) == 0.0
 
+    @pytest.mark.parametrize("method", ["exact", "expansion", "smoothed",
+                                        "free"])
+    def test_norm_is_trapezoid_bit_for_bit(self, g0, p_nat, method):
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(-12.0, 12.0, 301))
+        prof = ms.position_density(g0, 1.3, p_nat, x, method=method)
+        want = float(np.trapezoid(prof.density, x))
+        assert np.float64(prof.norm).tobytes() == np.float64(want).tobytes()
+
     def test_unknown_method_raises(self, g0, p_nat):
         with pytest.raises(ValueError):
             ms.position_density(g0, 0.5, p_nat, np.linspace(-1, 1, 5),

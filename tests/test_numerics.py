@@ -83,6 +83,32 @@ def test_kernels_match_series_oracle(fn, ref_direct, ref_series):
         assert float(fn(u)) == pytest.approx(ref_direct(u), rel=1e-12)
 
 
+@pytest.mark.parametrize("table,n_min,gen", [
+    (nu._F2_COEFFS, 2, f2_coeffs),
+    (nu._K1_COEFFS, 3, k1_coeffs),
+    (nu._K2_COEFFS, 3, k2_coeffs),
+    (nu._K3_COEFFS, 3, k3_coeffs),
+], ids=["f2", "k1", "k2", "k3"])
+def test_series_tables_are_rounded_rationals(table, n_min, gen):
+    want = [float(c) for _, c in gen(nu._N_TERMS + 1)]
+    assert len(want) == nu._N_TERMS + 1 - n_min
+    assert table == want
+
+
+@pytest.mark.parametrize("fn", [nu.f2, nu.k1, nu.k2, nu.k3, nu.one_minus_exp])
+def test_scalar_call_equals_array_element_bit_for_bit(fn):
+    # both sides of the series switch, the switch itself and u = 0
+    u = np.concatenate([[0.0, np.nextafter(0.75, 0.0), 0.75],
+                        np.logspace(-25.0, math.log10(60.0), 10001)])
+    arr = fn(u)
+    got = np.empty_like(u)
+    for i, v in enumerate(u.tolist()):
+        out = fn(v)
+        assert type(out) is float
+        got[i] = out
+    assert got.tobytes() == arr.tobytes()
+
+
 def test_kernels_continuous_at_switch():
     eps = 1e-9
     for fn in (nu.f2, nu.k1, nu.k2, nu.k3):
