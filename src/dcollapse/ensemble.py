@@ -181,14 +181,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        kw = cls.read_fields(path)
+        try:
+            return cls.from_dict(kw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def read_fields(cls, path: str) -> dict:
+        """The values a flat or JSON experiment file sets, by key, before
+        they are checked; a key the file leaves out is absent, even where
+        its value would be the default."""
         with open(path) as f:
             text = f.read()
         if text.lstrip().startswith("{"):
             try:
-                return cls.from_dict(json.loads(text))
+                return json.loads(text)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        types = {f_.name: f_ for f_ in dataclasses.fields(cls)}
+        names = {f_.name for f_ in dataclasses.fields(cls)}
         kw = {}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -197,13 +208,10 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in types:
+            if key not in names:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             kw[key] = _parse_value(key, val)
-        try:
-            return cls(**kw)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return kw
 
 
 def _parse_value(key: str, val: str):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 import dcollapse
 from dcollapse import cli
 from dcollapse import localization as loc
+from dcollapse.constants import FundamentalConstants
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
+from dcollapse.errors import InstabilityError
 from dcollapse.grid import RECORD_FIELDS
 
 
@@ -110,6 +113,23 @@ class TestConstants:
         assert row["energy_inf"] == pytest.approx(
             row["hbar"] ** 2 / (8.0 * row["mass"] * row["momentum_coupling"]),
             rel=1e-12)
+
+    @pytest.mark.parametrize("text, flag, mass", [
+        ("units = si\nmass = 1.0\n", [], 1.0),
+        ('{"units": "si", "mass": 1.0}', [], 1.0),
+        ("units = si\n", [], FundamentalConstants().reference_mass),
+        ("units = si\nmass = 1.0\n", ["--mass", "5"], 5.0),
+    ], ids=["flat", "json", "unset", "flag"])
+    def test_si_config_mass(self, tmp_path, text, flag, mass):
+        # a config that sets the mass to the field's default of 1.0 is a
+        # 1 kg object, not the nucleon an unset mass stands for
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        rc = cli.main(["constants", "--config", str(path), "--format",
+                       "json", "--out", str(tmp_path)] + flag)
+        assert rc == 0
+        with open(tmp_path / "constants.json") as f:
+            assert json.load(f)["mass"] == mass
 
 
 class TestTables:
@@ -493,3 +513,38 @@ class TestVerify:
         assert checks["energy_relaxation"]["passed"] is False
         assert checks["energy_relaxation"]["max_residual"] > 1e-7
         assert "FAIL  energy_relaxation" in capsys.readouterr().out
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker shares patched modules")
+    def test_width_worker_sees_the_parents_modules(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the width check runs in a forked worker, which inherits a change
+        # to the closed form made in the parent
+        exact = cli.ge.a_closed_form
+        monkeypatch.setattr(cli.ge, "a_closed_form",
+                            lambda a0, t, p: exact(a0, t, p) * (1.0 + 1e-6))
+        rc = cli.main(["verify", "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "FAIL  width_closed_form" in out
+        assert out.count("PASS") == 7
+
+    def test_width_worker_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise InstabilityError("RK4 width flow diverged")
+
+        monkeypatch.setattr(cli.ge, "integrate_a_ode", unstable)
+        rc = cli.main(["verify", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "run error: RK4 width flow diverged" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_two_worker_ensemble(self, tmp_path, capsys):
+        # the ensemble's pool forks while the width worker runs
+        path = str(tmp_path / "exp.cfg")
+        ExperimentConfig(n_workers=2).to_file(path)
+        rc = cli.main(["verify", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("PASS") == 8
+        assert multiprocessing.active_children() == []
