@@ -18,7 +18,7 @@ Module map:
     cli           command-line entry points
 """
 
-from .constants import BOLTZMANN, HBAR, NUCLEON_MASS, FundamentalConstants
+from .constants import BOLTZMANN, HBAR, NUCLEON_MASS
 from .errors import InstabilityError
 from .model import (DerivedConstants, ModelParams, derive_constants,
                     scale_parameters)
@@ -35,7 +35,7 @@ from .ensemble import (EnsembleSummary, ExperimentConfig, compare_to_master,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOLTZMANN", "HBAR", "NUCLEON_MASS", "FundamentalConstants",
+    "BOLTZMANN", "HBAR", "NUCLEON_MASS",
     "InstabilityError",
     "DerivedConstants", "ModelParams", "derive_constants",
     "scale_parameters",

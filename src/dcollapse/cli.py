@@ -41,7 +41,7 @@ import numpy as np
 from . import gaussian as ge
 from . import localization as loc
 from . import master as me
-from .constants import FundamentalConstants
+from .constants import NUCLEON_MASS
 from .ensemble import (ExperimentConfig, _write_csv, branch_outcomes,
                        compare_to_master, run_ensemble)
 from .errors import InstabilityError
@@ -92,8 +92,8 @@ def cmd_constants(args) -> int:
                 args.config):
             mass = cfg.mass
         else:
-            mass = FundamentalConstants().reference_mass
-        p = scale_parameters(mass, FundamentalConstants())
+            mass = NUCLEON_MASS
+        p = scale_parameters(mass)
         d = derive_constants(p)
     else:
         if args.mass is not None:
@@ -326,8 +326,7 @@ def _verify_checks(cfg, pool) -> dict:
             worst = max(worst, abs(va - vb) / scale)
     checks["coefficient_routes"] = {"max_residual": float(worst), "tol": 1e-10}
 
-    cov_rk = ge.integrate_covariance(lambda t: d.a_inf, np.linspace(0, 5.0, 200),
-                                     p, substeps=4)
+    cov_rk = ge.integrate_covariance(np.linspace(0, 5.0, 200), p, substeps=4)
     cov_cf = ge.stationary_covariance(cov_rk.t[-1], p)
     rel = float(max(
         abs(cov_rk.qq[-1] - cov_cf.qq) / abs(cov_cf.qq),
@@ -337,7 +336,7 @@ def _verify_checks(cfg, pool) -> dict:
     checks["stationary_covariance"] = {"max_residual": rel, "tol": 1e-6}
 
     gap = 0.0
-    nucleon = scale_parameters(FundamentalConstants().reference_mass)
+    nucleon = scale_parameters(NUCLEON_MASS)
     d_nucleon = derive_constants(nucleon)
     for pe, de, g0 in ((p, d, cfg.initial_gaussian()),
                        (nucleon, d_nucleon, ge.GaussianState(a=d_nucleon.a_inf))):

@@ -97,8 +97,12 @@ class ExperimentConfig:
                 raise ValueError(f"{f_.name} must be {_KIND_NAMES[kind]}, "
                                  f"got {value!r}")
             if kind == "tuple":
-                object.__setattr__(self, f_.name,
-                                   tuple(float(v) for v in value))
+                value = tuple(float(v) for v in value)
+                object.__setattr__(self, f_.name, value)
+            if kind in ("float", "tuple") and not all(
+                    abs(v) < math.inf
+                    for v in (value if kind == "tuple" else [value])):
+                raise ValueError(f"{f_.name} must be finite, got {value!r}")
         for name, allowed in (("units", ("natural", "si")),
                               ("equation", ("nonlinear", "linear")),
                               ("initial", ("gaussian", "superposition"))):
@@ -116,6 +120,12 @@ class ExperimentConfig:
             raise ValueError("weights and centers differ in length")
         if self.kbars and len(self.kbars) != len(self.centers):
             raise ValueError("kbars and centers differ in length")
+        if self.initial == "superposition" and not self.centers:
+            raise ValueError("centers must hold at least one packet")
+        if self.initial == "superposition" and (
+                min(self.weights) < 0.0 or not sum(self.weights) > 0.0):
+            raise ValueError("weights must be non-negative with a positive "
+                             f"sum, got {self.weights}")
 
     def params(self) -> ModelParams:
         hb = self.hbar
@@ -352,13 +362,19 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     times = times[0]
     records = np.concatenate(records, axis=1)
     aborted = np.concatenate(aborted)
-    if aborted.all():
-        raise InstabilityError(
-            f"all {aborted.size} trajectories aborted (norm loss or growth, "
-            "aliasing, or leakage at the box edge); try a smaller dt or a "
-            "wider box (x_min, x_max)")
-    ok = ~aborted
     grid = cfg.grid()
+    if aborted.all():
+        # a start that fails at t = 0 (a run of no steps) needs a new box
+        if evolve_batch(cfg.initial_psi(grid), grid, cfg.params(), cfg.dt, 0,
+                        np.empty((1, 0)), equation=cfg.equation)[3][0]:
+            why = (": the initial state already fails the box-edge leak or "
+                   "aliasing check at t = 0; widen the box (x_min, x_max) "
+                   "or move the packets inward")
+        else:
+            why = (" (norm loss or growth, aliasing, or leakage at the box "
+                   "edge); try a smaller dt or a wider box (x_min, x_max)")
+        raise InstabilityError(f"all {aborted.size} trajectories aborted{why}")
+    ok = ~aborted
     density = sum(density_sums) / ok.sum()
     kept = records[:, ok, :]
     nv = kept.shape[1]

@@ -24,10 +24,10 @@ tau0 = 1 is the attracting fixed point a_inf = -(A + i B)/2; every Re a0 > 0
 initial condition converges to it at the complex rate omega1 + i omega2.
 
 Centre-of-packet statistics over the ensemble of noise realizations obey
-linear ODEs with a-dependent coefficients; integrate_covariance solves them
-for any width path, and stationary_covariance gives the closed form for a
-trajectory sitting at a_inf, organised so that every term is a non-negative
-product of the cancellation-safe kernels in `numerics`.
+linear ODEs with a-dependent coefficients.  For a trajectory sitting at
+a_inf, integrate_covariance solves them by Runge-Kutta and
+stationary_covariance gives the closed form, organised so that every term
+is a non-negative product of the cancellation-safe kernels in `numerics`.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def spreads(a, p: ModelParams):
     return SpreadTriple(sq, sp, sqp)
 
 
-def wavefunction(g: GaussianState, x, p: ModelParams):
+def wavefunction(g: GaussianState, x):
     """Normalized position wavefunction of the state on the points x."""
     x = np.asarray(x, dtype=float)
     ar = complex(g.a).real
@@ -188,24 +188,24 @@ def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
                          kbar=g.kbar)
 
 
-def integrate_covariance(a_of_t, t_grid, p: ModelParams,
+def integrate_covariance(t_grid, p: ModelParams,
                          substeps: int = 4) -> CovariancePath:
-    """Runge-Kutta solution of the centre-covariance ODE system, started
-    at zero covariance.
+    """Runge-Kutta solution of the centre-covariance ODE system for a
+    trajectory at a = a_inf, started at zero covariance.
 
         d Cqq = 2 Cqp / m + lam s(a)^2
         d Cqp = Cpp / m - 2 lam alpha Cqp + lam hbar c(a) s(a)
         d Cpp = -4 lam alpha Cpp + lam hbar^2 c(a)^2
 
-    with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a.  a_of_t maps a
-    time to the width parameter (for example a closed-form flow).
+    with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a: the reference
+    for the closed form of stationary_covariance.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
+    a = complex(derive_constants(p, boltzmann=1.0).a_inf)
+    s = 0.5 / a.real - al
+    c = -a.imag / a.real
 
-    def rhs(t, y):
-        a = complex(a_of_t(t))
-        s = 0.5 / a.real - al
-        c = -a.imag / a.real
+    def rhs(_t, y):
         qq, qp, pp = y
         return np.array([
             2.0 * qp / m + lam * s * s,

@@ -279,7 +279,7 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
         raise ValueError(f"unknown density method: {method}")
     gs = free_evolve(g0, t, p)
     if b == 0.0 and s == 0.0:
-        dens = np.abs(wavefunction(gs, x, p)) ** 2
+        dens = np.abs(wavefunction(gs, x)) ** 2
     else:
         a_s = complex(gs.a)
         ar, ai = a_s.real, a_s.imag

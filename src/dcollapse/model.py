@@ -9,7 +9,8 @@ are the same for every object:
     lambda(m) = (m / m_0) lambda_base
     alpha(m)  = (m_0 / m) alpha_base
 
-For the centre of mass of a composite, scale_parameters takes the total
+with m_0 the nucleon mass and the base couplings from `constants`.  For
+the centre of mass of a composite, scale_parameters takes the total
 mass.  derive_constants evaluates the stationary regime of the single
 trajectory dynamics: the complex relaxation frequency, the attracting width
 parameter a_inf of Gaussian solutions, the stationary spreads, and the
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import BOLTZMANN, FundamentalConstants
+from .constants import (BOLTZMANN, COLLAPSE_RATE_BASE, HBAR,
+                        MOMENTUM_COUPLING_BASE, NUCLEON_MASS)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -77,15 +79,14 @@ class DerivedConstants:
     temperature: float
 
 
-def scale_parameters(mass: float, fc: FundamentalConstants | None = None) -> ModelParams:
-    """Couplings for a pointlike object of the given mass."""
-    fc = fc or FundamentalConstants()
-    ratio = mass / fc.reference_mass
+def scale_parameters(mass: float) -> ModelParams:
+    """SI couplings for a pointlike object of the given mass."""
+    ratio = mass / NUCLEON_MASS
     return ModelParams(
         mass=mass,
-        collapse_rate=fc.collapse_rate_base * ratio,
-        momentum_coupling=fc.momentum_coupling_base / ratio,
-        hbar=fc.hbar,
+        collapse_rate=COLLAPSE_RATE_BASE * ratio,
+        momentum_coupling=MOMENTUM_COUPLING_BASE / ratio,
+        hbar=HBAR,
     )
 
 

@@ -94,8 +94,8 @@ def density_quadrature(g0: GaussianState, t: float, p: ModelParams, x,
     for i, xi in np.ndenumerate(x):
         y0 = gs.xbar - xi
         base = gs.xbar + vg[None, :]
-        vals = wavefunction(gs, base + shift, p) * np.conj(
-            wavefunction(gs, base - shift, p)
+        vals = wavefunction(gs, base + shift) * np.conj(
+            wavefunction(gs, base - shift)
         )
         integrand = kv * vals * weight[:, None]
         inner = simpson(integrand, x=vg, axis=1)

@@ -19,7 +19,7 @@ from dcollapse import gaussian as ge
 from dcollapse import grid as gr
 from dcollapse import localization as loc
 from dcollapse import master as ms
-from dcollapse.constants import FundamentalConstants
+from dcollapse.constants import HBAR, MOMENTUM_COUPLING_BASE, NUCLEON_MASS
 from dcollapse.ensemble import (ExperimentConfig, branch_outcomes,
                                 run_ensemble)
 from dcollapse.gaussian import GaussianState
@@ -48,9 +48,8 @@ def random_widths(n, d, rng):
 
 class TestDerivedConstants:
     def test_nucleon_scale(self):
-        fc = FundamentalConstants()
         t0 = time.perf_counter()
-        p = scale_parameters(fc.reference_mass, fc)
+        p = scale_parameters(NUCLEON_MASS)
         d = derive_constants(p)
         elapsed = time.perf_counter() - t0
         print(f"omega={d.omega:.6e} theta={d.theta:.6f} "
@@ -59,15 +58,13 @@ class TestDerivedConstants:
         assert 5e-6 <= d.omega <= 5e-4
         assert abs(d.theta - math.pi / 4) <= 0.01
         assert 0.1 / 3 <= d.temperature <= 0.1 * 3
-        e_ref = fc.hbar**2 / (8.0 * fc.reference_mass
-                              * fc.momentum_coupling_base)
+        e_ref = HBAR**2 / (8.0 * NUCLEON_MASS * MOMENTUM_COUPLING_BASE)
         assert d.energy_inf == pytest.approx(e_ref, rel=1e-12)
         assert elapsed < 1.0
 
     def test_mass_invariants(self):
-        fc = FundamentalConstants()
-        ref = derive_constants(scale_parameters(fc.reference_mass, fc))
-        kg = derive_constants(scale_parameters(1.0, fc))
+        ref = derive_constants(scale_parameters(NUCLEON_MASS))
+        kg = derive_constants(scale_parameters(1.0))
         assert kg.omega == pytest.approx(ref.omega, rel=1e-12)
         assert kg.theta == pytest.approx(ref.theta, rel=1e-12)
         assert kg.temperature == pytest.approx(ref.temperature, rel=1e-12)

@@ -1,5 +1,6 @@
-"""Every public function and class of the package has a caller, and every
-option of a public function has a setter.
+"""Every public function and class of the package has a caller, every
+option of a public function or dataclass has a setter, and every parameter
+of a public function is read.
 
 A public top-level function or class of `src/dcollapse` stays only if a CLI
 command, a `verify` check or a script in `scripts/` reaches it.  The test
@@ -13,12 +14,23 @@ The same walk covers parameters: a defaulted parameter of a public function
 outside `cli.py` stays only if some call in the reached code passes it, by
 position or by keyword: an option that no caller sets is a constant.
 `cli.py`'s own definitions are exempt, since the console script calls
-`main()` with its defaults.
+`main()` with its defaults.  A public dataclass is a function too, its
+generated `__init__`: a defaulted field stays only if some reached
+construction sets it, and `cls(...)` in one of the class's own
+classmethods constructs the class.  A call that unpacks `*args` or
+`**kwargs` sets every parameter or field.
+
+Last, every parameter of a public function, or of a public method of a
+public class, is read in its body: a parameter that nothing reads is an
+option that changes nothing.  A leading underscore (`_t`) marks a
+parameter that a callback signature needs but the body does not.
 """
 
 import ast
 import os
 from collections import defaultdict
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "dcollapse"
@@ -162,26 +174,74 @@ def _parameters(fn: ast.FunctionDef):
     return positional, defaulted
 
 
+def _is_dataclass(node):
+    """Whether node is a class definition under `@dataclass`, bare or
+    called, by name or as `dataclasses.dataclass`."""
+    if not isinstance(node, ast.ClassDef):
+        return False
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields(cls: ast.ClassDef):
+    """The field names of a dataclass in order, and the names of its
+    fields that have a default: the parameters of its `__init__`."""
+    fields = [n for n in cls.body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return ([n.target.id for n in fields],
+            [n.target.id for n in fields if n.value is not None])
+
+
+def _signature(node):
+    """_parameters of a function, _fields of a dataclass, else None."""
+    if isinstance(node, ast.FunctionDef):
+        return _parameters(node)
+    if _is_dataclass(node):
+        return _fields(node)
+    return None
+
+
+def _calls(mod, m, node):
+    """(call, (module, name)) for every call in node to a package
+    definition: a name or attribute that stands for one, or the first
+    parameter of a classmethod, which stands for its class."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) \
+                and (ref := m.target(sub.func)) is not None:
+            yield sub, (ref[0] or mod, ref[1])
+        elif isinstance(sub, ast.ClassDef):
+            for fn in sub.body:
+                if not isinstance(fn, ast.FunctionDef) or not fn.args.args \
+                        or not any(getattr(d, "id", None) == "classmethod"
+                                   for d in fn.decorator_list):
+                    continue
+                cls = fn.args.args[0].arg
+                for call in ast.walk(fn):
+                    if isinstance(call, ast.Call) \
+                            and getattr(call.func, "id", None) == cls:
+                        yield call, (mod, sub.name)
+
+
 def passed_parameters(modules, scripts):
-    """(module, function) -> the names of the parameters that some call in
-    the code the roots reach passes; a call that unpacks `*args` or
-    `**kwargs` passes them all."""
+    """(module, function or dataclass) -> the names of the parameters or
+    fields that some call in the code the roots reach passes; a call that
+    unpacks `*args` or `**kwargs` passes them all."""
     sources = [(mod, modules[mod], modules[mod].defs[name])
                for mod, name in reachable(modules, roots(modules, scripts))
                if name in modules[mod].defs]
     sources += [(None, Module(tree), tree) for tree in scripts]
     passed = defaultdict(set)
     for mod, m, node in sources:
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call) \
-                    or (ref := m.target(call.func)) is None:
-                continue
-            callee = _resolve(modules, ref[0] or mod, ref[1])
-            fn = modules[callee[0]].defs.get(callee[1]) \
+        for call, ref in _calls(mod, m, node):
+            callee = _resolve(modules, *ref)
+            sig = _signature(modules[callee[0]].defs.get(callee[1])) \
                 if callee[0] in modules else None
-            if not isinstance(fn, ast.FunctionDef):
+            if sig is None:
                 continue
-            positional, defaulted = _parameters(fn)
+            positional, defaulted = sig
             if any(isinstance(a, ast.Starred) for a in call.args) \
                     or any(k.arg is None for k in call.keywords):
                 passed[callee] |= set(positional + defaulted)
@@ -202,6 +262,49 @@ def unpassed_defaults(modules, scripts):
                   if param not in passed[(mod, name)])
 
 
+def unset_fields(modules, scripts):
+    """(module, class, field) for every defaulted field of a public
+    dataclass that no reached construction sets."""
+    passed = passed_parameters(modules, scripts)
+    return sorted((mod, name, field)
+                  for mod, m in modules.items()
+                  for name in m.public if _is_dataclass(m.defs[name])
+                  for field in _fields(m.defs[name])[1]
+                  if field not in passed[(mod, name)])
+
+
+def _public_functions(m: Module):
+    """(name, node) for every public function of a module and every public
+    method of its public classes, a method named `Class.method`."""
+    for name in sorted(m.public):
+        node = m.defs[name]
+        if isinstance(node, ast.FunctionDef):
+            yield name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) \
+                        and not fn.name.startswith("_"):
+                    yield f"{name}.{fn.name}", fn
+
+
+def unread_parameters(modules):
+    """(module, function, parameter) for every parameter of a public
+    function or method that its body never reads, leaving out names that
+    start with an underscore."""
+    out = []
+    for mod, m in modules.items():
+        for name, fn in _public_functions(m):
+            a = fn.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            read = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            out += [(mod, name, param) for param in params
+                    if not param.startswith("_") and param not in read]
+    return sorted(out)
+
+
 def test_every_public_definition_has_a_caller():
     missing = unreached(_load_package(), _load_scripts())
     assert not missing, (
@@ -215,6 +318,21 @@ def test_every_option_has_a_setter():
         "defaulted parameters that no call from the CLI, a verify check or "
         "a script passes: "
         + ", ".join(f"{m}.{n}({p}=)" for m, n, p in unset))
+
+
+def test_every_dataclass_field_has_a_setter():
+    unset = unset_fields(_load_package(), _load_scripts())
+    assert not unset, (
+        "defaulted dataclass fields that no construction from the CLI, a "
+        "verify check or a script sets: "
+        + ", ".join(f"{m}.{c}.{f}" for m, c, f in unset))
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters(_load_package())
+    assert not unread, (
+        "parameters that their function never reads: "
+        + ", ".join(f"{m}.{n}({p})" for m, n, p in unread))
 
 
 def test_walk_follows_aliases_and_ignores_docstrings():
@@ -247,3 +365,65 @@ def test_parameter_walk_counts_positional_and_keyword_passes():
     assert unpassed_defaults(modules, [script]) == [("lib", "scale", "clip")]
     assert unpassed_defaults(modules, []) == [("lib", "scale", "clip"),
                                               ("lib", "scale", "mode")]
+
+
+FIELDS_LIB = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\n"
+    "class Box:\n"
+    "    size: float\n"
+    "    depth: float = 1.0\n"
+    "    label: str = ''\n"
+    "    @classmethod\n"
+    "    def from_dict(cls, d):\n"
+    "        return cls(**d)\n"
+    "@dataclass(frozen=True)\n"
+    "class Lid:\n"
+    "    colour: str = 'red'\n"
+    "    shape: str = 'round'\n")
+
+
+@pytest.mark.parametrize("body, unset", [
+    # built with no arguments: every defaulted field is a constant
+    ("Lid()", [("lib", "Lid", "colour"), ("lib", "Lid", "shape")]),
+    ("Lid('blue')", [("lib", "Lid", "shape")]),
+    ("Lid(shape='square')", [("lib", "Lid", "colour")]),
+    ("Lid(**kw)", []),
+    ("Lid(*args)", []),
+])
+def test_field_walk_counts_positional_keyword_and_unpacked_sets(body, unset):
+    lib = ast.parse(FIELDS_LIB)
+    cli = ast.parse(
+        "from .lib import Lid\n"
+        f"def main(kw=None, args=()):\n    return {body}\n")
+    modules = {"lib": Module(lib), "cli": Module(cli)}
+    # Box is never constructed, so neither of its fields is set
+    assert unset_fields(modules, []) == sorted(
+        unset + [("lib", "Box", "depth"), ("lib", "Box", "label")])
+
+
+def test_field_walk_counts_cls_in_a_classmethod_as_the_class():
+    lib = ast.parse(FIELDS_LIB)
+    cli = ast.parse(
+        "from .lib import Box, Lid\n"
+        "def main():\n"
+        "    return Box.from_dict({}), Lid('blue', 'square')\n")
+    modules = {"lib": Module(lib), "cli": Module(cli)}
+    assert unset_fields(modules, []) == []
+
+
+def test_read_walk_flags_a_parameter_the_body_never_reads():
+    lib = ast.parse(
+        "def shade(colour, p, _t, *extra, scale=1.0, **opts):\n"
+        "    p = 2.0\n"
+        "    return [colour for _ in extra], opts\n"
+        "class Lid:\n"
+        "    def paint(self, colour):\n"
+        "        return self\n"
+        "    def _hidden(self, unused):\n"
+        "        return self\n")
+    # p is only assigned, _t is unused on purpose, and a private method is
+    # not scanned
+    assert unread_parameters({"lib": Module(lib)}) == [
+        ("lib", "Lid.paint", "colour"), ("lib", "shade", "p"),
+        ("lib", "shade", "scale")]

@@ -12,7 +12,7 @@ import pytest
 import dcollapse
 from dcollapse import cli
 from dcollapse import localization as loc
-from dcollapse.constants import FundamentalConstants
+from dcollapse.constants import NUCLEON_MASS
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
 from dcollapse.errors import InstabilityError
 from dcollapse.grid import RECORD_FIELDS
@@ -117,7 +117,7 @@ class TestConstants:
     @pytest.mark.parametrize("text, flag, mass", [
         ("units = si\nmass = 1.0\n", [], 1.0),
         ('{"units": "si", "mass": 1.0}', [], 1.0),
-        ("units = si\n", [], FundamentalConstants().reference_mass),
+        ("units = si\n", [], NUCLEON_MASS),
         ("units = si\nmass = 1.0\n", ["--mass", "5"], 5.0),
     ], ids=["flat", "json", "unset", "flag"])
     def test_si_config_mass(self, tmp_path, text, flag, mass):

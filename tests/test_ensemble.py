@@ -92,6 +92,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             en.ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("bad, name", [
+        (dict(dt=math.inf), "dt"),
+        (dict(xbar0=math.nan), "xbar0"),
+        (dict(initial="superposition", centers=(), weights=()), "centers"),
+        (dict(initial="superposition", weights=(-0.5, 1.5)), "weights"),
+        (dict(initial="superposition", weights=(0.0, 0.0)), "weights"),
+    ], ids=["inf", "nan", "no-centre", "negative-weight", "zero-weights"])
+    def test_rejects_values_no_run_can_use(self, bad, name):
+        with pytest.raises(ValueError, match=name):
+            en.ExperimentConfig(**bad)
+
     def test_rejects_weights_centers_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
             en.ExperimentConfig(initial="superposition",
@@ -196,6 +207,24 @@ class TestRunEnsemble:
         cfg = SMALL.replace(xbar0=11.0, n_trajectories=6, batch_size=6,
                             n_steps=4)
         with pytest.raises(InstabilityError, match=r"all 6 trajectories"):
+            en.run_ensemble(cfg)
+
+    def test_start_that_fails_at_t0_gets_box_advice(self):
+        # the default box and centres leave a packet tail at the box edge
+        # above the leak check's threshold, so no dt can help
+        cfg = en.ExperimentConfig(initial="superposition", n_steps=10,
+                                  n_trajectories=4)
+        with pytest.raises(InstabilityError,
+                           match=r"all 4 trajectories aborted: the initial "
+                                 r"state already fails .* widen the box"):
+            en.run_ensemble(cfg)
+
+    def test_oversized_step_keeps_dt_advice(self):
+        cfg = SMALL.replace(dt=1.0, n_trajectories=6, batch_size=6,
+                            n_steps=4)
+        with pytest.raises(InstabilityError,
+                           match=r"all 6 trajectories aborted \(.*\); try a "
+                                 r"smaller dt"):
             en.run_ensemble(cfg)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcollapse.errors import InstabilityError
-from dcollapse.model import ModelParams, derive_constants
+from dcollapse.model import ModelParams
 from dcollapse.numerics import rk4_path
 from dcollapse import gaussian as ge
 from dcollapse import master as ms
@@ -114,17 +114,17 @@ class TestSpreads:
 
 
 class TestWavefunction:
-    def test_normalized_on_fine_grid(self, p_nat):
+    def test_normalized_on_fine_grid(self):
         g = ge.GaussianState(a=0.7 + 0.2j, xbar=1.3, kbar=-0.4)
         x = np.linspace(-12, 14, 4001)
-        psi = ge.wavefunction(g, x, p_nat)
+        psi = ge.wavefunction(g, x)
         norm = np.trapezoid(np.abs(psi) ** 2, x)
         assert norm == pytest.approx(1.0, rel=1e-10)
 
     def test_moments_match_state(self, p_nat):
         g = ge.GaussianState(a=0.7 + 0.2j, xbar=1.3, kbar=-0.4)
         x = np.linspace(-14, 16, 8001)
-        psi = ge.wavefunction(g, x, p_nat)
+        psi = ge.wavefunction(g, x)
         prob = np.abs(psi) ** 2
         xm = np.trapezoid(x * prob, x)
         assert xm == pytest.approx(1.3, abs=1e-9)
@@ -181,10 +181,9 @@ class TestMeans:
 
 
 class TestCovariance:
-    def test_closed_form_vs_ode_oracle(self, p_nat, d_nat):
+    def test_closed_form_vs_ode_oracle(self, p_nat):
         t_grid = np.linspace(0.0, 6.0, 121)
-        path = ge.integrate_covariance(
-            lambda t: complex(d_nat.a_inf), t_grid, p_nat, substeps=8)
+        path = ge.integrate_covariance(t_grid, p_nat, substeps=8)
         closed = ge.stationary_covariance(t_grid, p_nat)
         for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
                           (path.pp, closed.pp)]:
@@ -220,10 +219,8 @@ class TestCovariance:
     def test_zero_momentum_coupling_branch(self):
         p = ModelParams(mass=1.0, collapse_rate=0.1, momentum_coupling=0.0,
                         hbar=1.0)
-        d = derive_constants(p, boltzmann=1.0)
         t_grid = np.linspace(0.0, 4.0, 81)
-        path = ge.integrate_covariance(lambda t: complex(d.a_inf), t_grid, p,
-                                       substeps=8)
+        path = ge.integrate_covariance(t_grid, p, substeps=8)
         closed = ge.stationary_covariance(t_grid, p)
         for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
                           (path.pp, closed.pp)]:

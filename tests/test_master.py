@@ -381,7 +381,7 @@ class TestPositionDensity:
         x = np.linspace(gs.xbar - 5 * sd, gs.xbar + 5 * sd, 81)
         prof = ms.position_density(g0, t, p_nat, x, method="free")
         from dcollapse.gaussian import wavefunction
-        want = np.abs(wavefunction(gs, x, p_nat)) ** 2
+        want = np.abs(wavefunction(gs, x)) ** 2
         assert np.max(np.abs(prof.density - want)) == 0.0
 
     def test_lambda_zero_exact_equals_free(self, g0):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.constants import HBAR, NUCLEON_MASS, FundamentalConstants
+from dcollapse.constants import (COLLAPSE_RATE_BASE, HBAR,
+                                 MOMENTUM_COUPLING_BASE, NUCLEON_MASS)
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 
 
@@ -149,7 +150,5 @@ def test_natural_units_preserve_derived_shape():
 
 
 def test_fundamental_constants_frozen():
-    fc = FundamentalConstants()
-    assert fc.collapse_rate_base == 1e-2
-    assert fc.momentum_coupling_base == 1e-18
-    assert fc.reference_mass == NUCLEON_MASS
+    assert COLLAPSE_RATE_BASE == 1e-2
+    assert MOMENTUM_COUPLING_BASE == 1e-18
