@@ -54,6 +54,15 @@ def _has_kind(value, kind: str) -> bool:
                       numbers.Integral if kind == "int" else numbers.Real)
 
 
+def _is_finite(value) -> bool:
+    """Whether a real number is finite as a float: an integer too large
+    for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat description of one ensemble experiment.
@@ -96,13 +105,11 @@ class ExperimentConfig:
             if not _has_kind(value, kind):
                 raise ValueError(f"{f_.name} must be {_KIND_NAMES[kind]}, "
                                  f"got {value!r}")
-            if kind == "tuple":
-                value = tuple(float(v) for v in value)
-                object.__setattr__(self, f_.name, value)
             if kind in ("float", "tuple") and not all(
-                    abs(v) < math.inf
-                    for v in (value if kind == "tuple" else [value])):
+                    map(_is_finite, value if kind == "tuple" else [value])):
                 raise ValueError(f"{f_.name} must be finite, got {value!r}")
+            if kind == "tuple":
+                object.__setattr__(self, f_.name, tuple(map(float, value)))
         for name, allowed in (("units", ("natural", "si")),
                               ("equation", ("nonlinear", "linear")),
                               ("initial", ("gaussian", "superposition"))):
@@ -126,6 +133,7 @@ class ExperimentConfig:
                 min(self.weights) < 0.0 or not sum(self.weights) > 0.0):
             raise ValueError("weights must be non-negative with a positive "
                              f"sum, got {self.weights}")
+        self.grid()  # Grid checks n_points and the interval
 
     def params(self) -> ModelParams:
         hb = self.hbar
@@ -148,17 +156,16 @@ class ExperimentConfig:
         return GaussianState(a=a, xbar=self.xbar0, kbar=self.kbar0)
 
     def initial_psi(self, grid: Grid) -> np.ndarray:
-        if self.initial == "gaussian":
-            return build_gaussian(grid, self.initial_gaussian())
         g = self.initial_gaussian()
-        kbars = self.kbars if self.kbars else None
+        if self.initial == "gaussian":
+            return build_gaussian(grid, g)
         return build_superposition(grid, g.a, self.centers, self.weights,
-                                   kbars=kbars)
+                                   kbars=self.kbars or None)
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
 
-    # -- flat-file and JSON round trips ------------------------------------
+    # -- dict, flat-file and JSON forms ------------------------------------
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -173,21 +180,6 @@ class ExperimentConfig:
             if k not in names:
                 raise ValueError(f"unknown key {k!r}")
         return cls(**d)
-
-    def to_file(self, path: str) -> None:
-        if path.endswith(".json"):
-            with open(path, "w") as f:
-                json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-                f.write("\n")
-            return
-        lines = []
-        for f_ in dataclasses.fields(self):
-            v = getattr(self, f_.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(float(x)) for x in v)
-            lines.append(f"{f_.name} = {v}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

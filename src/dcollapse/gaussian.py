@@ -171,15 +171,6 @@ def spreads(a, p: ModelParams):
     return SpreadTriple(sq, sp, sqp)
 
 
-def wavefunction(g: GaussianState, x):
-    """Normalized position wavefunction of the state on the points x."""
-    x = np.asarray(x, dtype=float)
-    ar = complex(g.a).real
-    norm = (2.0 * ar / math.pi) ** 0.25
-    dx = x - g.xbar
-    return norm * np.exp(-g.a * dx * dx + 1j * g.kbar * dx)
-
-
 def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
     """Collapse-free (unitary) evolution of a Gaussian state for time t."""
     a_t = complex(_free_width(np.asarray(g.a, dtype=complex),
@@ -258,6 +249,6 @@ def _scalarize(cm: CovarianceMatrix) -> CovarianceMatrix:
 
 __all__ = [
     "GaussianState", "SpreadTriple", "CovarianceMatrix", "CovariancePath",
-    "a_closed_form", "integrate_a_ode", "spreads", "wavefunction",
-    "free_evolve", "integrate_covariance", "stationary_covariance",
+    "a_closed_form", "integrate_a_ode", "spreads", "free_evolve",
+    "integrate_covariance", "stationary_covariance",
 ]

@@ -139,9 +139,7 @@ def grid_norm_sq(psi: np.ndarray, grid: Grid):
 
 def build_gaussian(grid: Grid, g: GaussianState) -> np.ndarray:
     """Gaussian packet, normalized in the discrete grid norm."""
-    dxv = grid.x - g.xbar
-    psi = np.exp(-g.a * dxv * dxv + 1j * g.kbar * dxv)
-    return psi / math.sqrt(float(grid_norm_sq(psi, grid)))
+    return build_superposition(grid, g.a, [g.xbar], [1.0], [g.kbar])
 
 
 def build_superposition(grid: Grid, a: complex, centers, weights,

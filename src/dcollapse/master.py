@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .gaussian import GaussianState, free_evolve, wavefunction
+from .gaussian import GaussianState, free_evolve
 from .model import ModelParams
 
 
@@ -254,7 +254,7 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
         mean = xbar_S - 2 hbar kbar s,
         var  = 2 hbar^2 (b + 2 ar s^2) + (1 + 4 hbar ai s)^2 / (4 ar),
 
-    and b = s = 0 (also 'exact' at lam = 0 or t = 0) returns |psi_S|^2
+    which at b = s = 0 (also 'exact' at lam = 0 or t = 0) is |psi_S|^2
     itself.  The profile carries its trapezoid norm on x as a self-check.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
@@ -278,16 +278,13 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
     elif method not in ("exact", "free"):
         raise ValueError(f"unknown density method: {method}")
     gs = free_evolve(g0, t, p)
-    if b == 0.0 and s == 0.0:
-        dens = np.abs(wavefunction(gs, x)) ** 2
-    else:
-        a_s = complex(gs.a)
-        ar, ai = a_s.real, a_s.imag
-        mean = gs.xbar - 2.0 * hb * gs.kbar * s
-        var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
-            + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
-        dens = np.exp(-0.5 * (x - mean) ** 2 / var) \
-            / math.sqrt(2.0 * math.pi * var)
+    a_s = complex(gs.a)
+    ar, ai = a_s.real, a_s.imag
+    mean = gs.xbar - 2.0 * hb * gs.kbar * s
+    var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
+        + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
+    dens = np.exp(-0.5 * (x - mean) ** 2 / var) \
+        / math.sqrt(2.0 * math.pi * var)
     # np.trapezoid's own formula and bits, without its dispatch cost
     norm = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
     return DensityProfile(x=x, density=dens, method=method, norm=norm, beta=beta)

@@ -4,6 +4,7 @@ The collapse ensemble used by the reduction and drift-law acceptance tests
 is expensive (10^3 grid trajectories), so it is built once per session.
 """
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -16,6 +17,12 @@ from dcollapse.model import ModelParams, derive_constants, scale_parameters
 
 
 NATURAL = dict(mass=1.0, collapse_rate=0.1, momentum_coupling=0.5, hbar=1.0)
+
+
+def write_config(cfg: ExperimentConfig, path) -> None:
+    """Write cfg as the JSON experiment file that `--config` reads."""
+    with open(path, "w") as f:
+        json.dump(cfg.to_dict(), f)
 
 
 @pytest.fixture(scope="session")

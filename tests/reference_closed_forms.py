@@ -14,6 +14,9 @@ here are kept only as oracles:
 - `green_factors` is the pointwise Green pullback of the characteristic
   function, which `master.coeff_flow` must reproduce coefficient by
   coefficient.
+- `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
+  grid builds packets normalized on the grid instead, and the `free`
+  density route takes |psi|^2 as a normal density.
 """
 
 import math
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcollapse import numerics
-from dcollapse.gaussian import _riccati_constants, a_closed_form
+from dcollapse.gaussian import (GaussianState, _riccati_constants,
+                                a_closed_form)
 from dcollapse.model import DerivedConstants, ModelParams, derive_constants
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,6 +60,15 @@ def simulate_means(a0: complex, x0, k0, t_grid, p: ModelParams, increments):
         k = k - 2.0 * lam * al * k * dt - root * (ai / ar) * dW
         xs[i + 1], ks[i + 1] = x, k
     return xs, ks
+
+
+def wavefunction(g: GaussianState, x):
+    """Normalized position wavefunction of the state on the points x."""
+    x = np.asarray(x, dtype=float)
+    ar = complex(g.a).real
+    norm = (2.0 * ar / math.pi) ** 0.25
+    dx = x - g.xbar
+    return norm * np.exp(-g.a * dx * dx + 1j * g.kbar * dx)
 
 
 @dataclass(frozen=True)

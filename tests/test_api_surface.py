@@ -20,10 +20,16 @@ construction sets it, and `cls(...)` in one of the class's own
 classmethods constructs the class.  A call that unpacks `*args` or
 `**kwargs` sets every parameter or field.
 
-Last, every parameter of a public function, or of a public method of a
-public class, is read in its body: a parameter that nothing reads is an
-option that changes nothing.  A leading underscore (`_t`) marks a
-parameter that a callback signature needs but the body does not.
+Every parameter of a public function, or of a public method of a public
+class, is read in its body: a parameter that nothing reads is an option
+that changes nothing.  A leading underscore (`_t`) marks a parameter that
+a callback signature needs but the body does not.
+
+Last, a public method of a public class stays only if the reached code
+uses its name as an attribute (`comp.passed`, `cfg.grid`).  The walk
+cannot tell an object's class, so any attribute of that name counts.  For
+this rule the benchmark in `perfbench/` is a root as well, since its
+gate calls a method the CLI does not.
 """
 
 import ast
@@ -36,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "dcollapse"
 SRC = os.path.join(ROOT, "src", PACKAGE)
 SCRIPTS = os.path.join(ROOT, "scripts")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _parse(path):
@@ -118,9 +125,9 @@ def _load_package():
             for fn in sorted(os.listdir(SRC)) if fn.endswith(".py")}
 
 
-def _load_scripts():
-    return [_parse(os.path.join(SCRIPTS, fn))
-            for fn in sorted(os.listdir(SCRIPTS)) if fn.endswith(".py")]
+def _load_scripts(directory=SCRIPTS):
+    return [_parse(os.path.join(directory, fn))
+            for fn in sorted(os.listdir(directory)) if fn.endswith(".py")]
 
 
 def _resolve(modules, mod, name):
@@ -305,6 +312,20 @@ def unread_parameters(modules):
     return sorted(out)
 
 
+def unused_methods(modules, scripts):
+    """(module, Class.method) for every public method of a public class
+    whose name neither the code the roots reach nor a script uses as an
+    attribute."""
+    reached = [modules[mod].defs[name]
+               for mod, name in reachable(modules, roots(modules, scripts))
+               if name in modules[mod].defs]
+    used = {sub.attr for node in reached + scripts for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)}
+    return sorted((mod, name) for mod, m in modules.items()
+                  for name, _ in _public_functions(m)
+                  if "." in name and name.split(".")[1] not in used)
+
+
 def test_every_public_definition_has_a_caller():
     missing = unreached(_load_package(), _load_scripts())
     assert not missing, (
@@ -333,6 +354,14 @@ def test_every_parameter_is_read():
     assert not unread, (
         "parameters that their function never reads: "
         + ", ".join(f"{m}.{n}({p})" for m, n, p in unread))
+
+
+def test_every_method_has_a_caller():
+    unused = unused_methods(_load_package(),
+                            _load_scripts() + _load_scripts(PERFBENCH))
+    assert not unused, (
+        "public methods that no CLI command, verify check, script or "
+        "benchmark uses: " + ", ".join(f"{m}.{n}" for m, n in unused))
 
 
 def test_walk_follows_aliases_and_ignores_docstrings():
@@ -427,3 +456,28 @@ def test_read_walk_flags_a_parameter_the_body_never_reads():
     assert unread_parameters({"lib": Module(lib)}) == [
         ("lib", "Lid.paint", "colour"), ("lib", "shade", "p"),
         ("lib", "shade", "scale")]
+
+
+def test_method_walk_matches_attribute_names():
+    lib = ast.parse(
+        "class Box:\n"
+        '    """Box.seal() is named here only in prose."""\n'
+        "    def open(self):\n"
+        "        return self\n"
+        "    def seal(self):\n"
+        "        return self\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        return 'box'\n"
+        "    def _wipe(self):\n"
+        "        return self\n")
+    cli = ast.parse(
+        "from .lib import Box\n"
+        "def main():\n"
+        "    return Box().open(), Box().label\n")
+    script = ast.parse("lid.seal()\n")
+    modules = {"lib": Module(lib), "cli": Module(cli)}
+    # a property is an attribute too; a private method is not scanned; the
+    # script's `lid` may be any object, and its `.seal` counts
+    assert unused_methods(modules, []) == [("lib", "Box.seal")]
+    assert unused_methods(modules, [script]) == []

@@ -17,6 +17,8 @@ from dcollapse.ensemble import ExperimentConfig, run_ensemble
 from dcollapse.errors import InstabilityError
 from dcollapse.grid import RECORD_FIELDS
 
+from conftest import write_config
+
 
 def read_csv(path):
     with open(path) as f:
@@ -170,7 +172,7 @@ class TestTables:
     def test_density_methods(self, tmp_path, capsys):
         cfg = ExperimentConfig(n_steps=100, dt=0.01)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["density", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         schema, header, body = read_csv(str(tmp_path / "density.csv"))
@@ -189,7 +191,7 @@ class TestTables:
         cfg = ExperimentConfig(initial="superposition", centers=(-5.0, 3.0),
                                weights=(0.3, 0.7), x_min=-32.0, x_max=32.0)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         out = tmp_path / "out"
         rc = cli.main([command, "--config", path, "--out", str(out)])
         assert rc == 1
@@ -201,7 +203,7 @@ class TestTrajectory:
     def test_nonlinear_run(self, tmp_path):
         cfg = ExperimentConfig(n_steps=40, record_every=8, master_seed=7)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["trajectory", "--config", path, "--out",
                        str(tmp_path)])
         assert rc == 0
@@ -219,7 +221,7 @@ class TestTrajectory:
         cfg = ExperimentConfig(n_steps=40, record_every=10, master_seed=7,
                                equation=equation)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["trajectory", "--config", path, "--out",
                        str(tmp_path)])
         assert rc == 0
@@ -246,7 +248,7 @@ class TestTrajectory:
     def test_aborted_trajectory_exits_1(self, tmp_path, capsys):
         cfg = ExperimentConfig(n_steps=4, xbar0=15.0)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["trajectory", "--config", path, "--out",
                        str(tmp_path)])
         assert rc == 1
@@ -258,7 +260,7 @@ class TestEnsemble:
         cfg = ExperimentConfig(n_trajectories=8, n_steps=20, batch_size=4,
                                record_every=10, master_seed=12)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["ensemble", "--config", path, "--out",
                        str(tmp_path / "one")])
         assert rc == 0
@@ -276,7 +278,7 @@ class TestEnsemble:
         cfg = ExperimentConfig(n_trajectories=6, n_steps=10, batch_size=3,
                                record_every=5)
         path = str(tmp_path / "exp.json")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["ensemble", "--config", path, "--format", "json",
                        "--out", str(tmp_path)])
         assert rc == 0
@@ -296,7 +298,7 @@ class TestEnsemble:
                                      dt=0.05, n_steps=400, n_trajectories=4,
                                      batch_size=4)):
             path = str(tmp_path / "exp.cfg")
-            cfg.to_file(path)
+            write_config(cfg, path)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rc = cli.main(["ensemble", "--config", path, "--out",
@@ -315,7 +317,7 @@ class TestEnsemble:
             x_min=-32.0, x_max=32.0, dt=0.008, n_steps=300, record_every=5,
             n_trajectories=16, batch_size=8, master_seed=3)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["ensemble", "--config", path, "--format", fmt,
                        "--out", str(tmp_path)])
         assert rc == 0
@@ -356,7 +358,7 @@ class TestEnsemble:
         cfg = ExperimentConfig(initial="superposition", x_min=-32.0,
                                x_max=32.0, n_steps=10, n_trajectories=4)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(["ensemble", "--config", path, "--out",
@@ -370,7 +372,7 @@ class TestEnsemble:
         cfg = ExperimentConfig(n_trajectories=8, batch_size=4, n_steps=20,
                                dt=0.005)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["ensemble", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines()
@@ -385,7 +387,7 @@ class TestEnsemble:
                                x_min=-32.0, x_max=32.0, n_trajectories=4,
                                batch_size=4, n_steps=20)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         rc = cli.main(["ensemble", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         stdout = capsys.readouterr().out
@@ -398,7 +400,7 @@ class TestEnsemble:
         # two files, so neither command overwrites the other's
         cfg = ExperimentConfig(n_trajectories=4, batch_size=4, n_steps=20)
         path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
+        write_config(cfg, path)
         for command in ("density", "ensemble"):
             rc = cli.main([command, "--config", path, "--out", str(tmp_path)])
             assert rc == 0
@@ -462,6 +464,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "n_steps must be an integer, got 'abc'" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_points = 100\n", "n must be a power of two, at least 64"),
+        ("x_min = 4.0\nx_max = 4.0\n", "empty grid interval"),
+        ("mass = 1" + "0" * 400 + "\n", "mass must be finite"),
+        ('{"centers": [1' + "0" * 400 + ', 2]}', "centers must be finite"),
+    ], ids=["n_points", "interval", "huge-int", "huge-int-in-tuple"])
+    def test_config_refused_when_built_exits_1(self, tmp_path, capsys,
+                                               text, message):
+        # the grid and float checks run when the config is built, so a
+        # command that builds no grid refuses the file too
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        rc = cli.main(["constants", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -543,7 +565,7 @@ class TestVerify:
     def test_two_worker_ensemble(self, tmp_path, capsys):
         # the ensemble's pool forks while the width worker runs
         path = str(tmp_path / "exp.cfg")
-        ExperimentConfig(n_workers=2).to_file(path)
+        write_config(ExperimentConfig(n_workers=2), path)
         rc = cli.main(["verify", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         assert capsys.readouterr().out.count("PASS") == 8

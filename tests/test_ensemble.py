@@ -10,6 +10,8 @@ from dcollapse import ensemble as en
 from dcollapse import master as ms
 from dcollapse.errors import InstabilityError
 
+from conftest import write_config
+
 
 SMALL = en.ExperimentConfig(n_trajectories=24, n_steps=30, dt=0.01,
                             n_points=128, x_min=-16.0, x_max=16.0,
@@ -19,19 +21,24 @@ SMALL = en.ExperimentConfig(n_trajectories=24, n_steps=30, dt=0.01,
 
 class TestConfig:
     def test_text_round_trip(self, tmp_path):
-        cfg = SMALL.replace(initial="superposition", centers=(-4.0, 3.5),
-                            weights=(0.25, 0.75), kbars=(0.3, -0.1),
-                            a0_real=1.2, a0_imag=-0.4)
-        path = str(tmp_path / "exp.cfg")
-        cfg.to_file(path)
-        assert en.ExperimentConfig.from_file(path) == cfg
+        # a value of every kind the flat format reads: None, a tuple, an
+        # int, a float and a string
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "units = natural\nhbar = None\ninitial = superposition\n"
+            "centers = -4.0,3.5\nweights = 0.25,0.75\nkbars = 0.3,-0.1\n"
+            "a0_real = 1.2\na0_imag = -0.4\nn_points = 128\ndt = 0.01\n"
+            "master_seed = 314\n")
+        want = en.ExperimentConfig(
+            initial="superposition", centers=(-4.0, 3.5),
+            weights=(0.25, 0.75), kbars=(0.3, -0.1), a0_real=1.2,
+            a0_imag=-0.4, n_points=128, dt=0.01, master_seed=314)
+        assert en.ExperimentConfig.from_file(str(path)) == want
 
     def test_json_round_trip(self, tmp_path):
         cfg = SMALL.replace(hbar=None, a0_real=None, kbars=())
         path = str(tmp_path / "exp.json")
-        cfg.to_file(path)
-        with open(path) as f:
-            assert f.read().lstrip().startswith("{")
+        write_config(cfg, path)
         assert en.ExperimentConfig.from_file(path) == cfg
 
     def test_text_parser_accepts_comments(self, tmp_path):

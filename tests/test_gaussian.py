@@ -117,14 +117,14 @@ class TestWavefunction:
     def test_normalized_on_fine_grid(self):
         g = ge.GaussianState(a=0.7 + 0.2j, xbar=1.3, kbar=-0.4)
         x = np.linspace(-12, 14, 4001)
-        psi = ge.wavefunction(g, x)
+        psi = rcf.wavefunction(g, x)
         norm = np.trapezoid(np.abs(psi) ** 2, x)
         assert norm == pytest.approx(1.0, rel=1e-10)
 
     def test_moments_match_state(self, p_nat):
         g = ge.GaussianState(a=0.7 + 0.2j, xbar=1.3, kbar=-0.4)
         x = np.linspace(-14, 16, 8001)
-        psi = ge.wavefunction(g, x)
+        psi = rcf.wavefunction(g, x)
         prob = np.abs(psi) ** 2
         xm = np.trapezoid(x * prob, x)
         assert xm == pytest.approx(1.3, abs=1e-9)
