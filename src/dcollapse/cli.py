@@ -24,7 +24,7 @@ Subcommands:
 Common flags: --config PATH (flat key=value or JSON experiment file),
 --seed N (overrides the master seed), --out DIR, --units si|natural,
 --format csv|json.  Exit codes: 0 success, 1 run error, 2 verification
-failure.
+failure.  Every output file is written here, through _write_text.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from . import gaussian as ge
 from . import localization as loc
 from . import master as me
 from .constants import NUCLEON_MASS
-from .ensemble import (ExperimentConfig, _write_csv, branch_outcomes,
-                       compare_to_master, run_ensemble)
+from .ensemble import (ExperimentConfig, branch_outcomes, compare_to_master,
+                       run_ensemble)
 from .errors import InstabilityError
 from .grid import RECORD_FIELDS, NoiseStream, evolve_batch, record_steps
 from .model import derive_constants, scale_parameters
@@ -66,19 +66,30 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_table(args, name, schema, cols, body):
+def _write_text(args, name, text):
+    """Write text to the file name under args.out, making the directory
+    first, and return its path: every file the commands write goes
+    through here."""
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "csv":
-        path = os.path.join(args.out, f"{name}.csv")
-        _write_csv(path, schema, cols, body)
-    else:
-        path = os.path.join(args.out, f"{name}.json")
-        payload = {"schema": schema, "columns": list(cols),
-                   "rows": np.atleast_2d(body).tolist()}
-        with open(path, "w") as f:
-            json.dump(payload, f, sort_keys=True)
-            f.write("\n")
+    path = os.path.join(args.out, name)
+    with open(path, "w") as f:
+        f.write(text)
     return path
+
+
+def _write_table(args, name, schema, cols, rows):
+    """Write a table under args.out as name.csv or name.json, as
+    args.format says.  A CSV row prints a number as %.17g and a string as
+    it is."""
+    file_name = f"{name}.{args.format}"
+    if args.format == "json":
+        return _write_text(args, file_name, json.dumps(
+            {"schema": schema, "columns": list(cols),
+             "rows": np.atleast_2d(rows).tolist()}, sort_keys=True) + "\n")
+    lines = [f"# schema={schema}", ",".join(cols)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+              for row in rows]
+    return _write_text(args, file_name, "\n".join(lines) + "\n")
 
 
 def cmd_constants(args) -> int:
@@ -119,19 +130,13 @@ def cmd_constants(args) -> int:
         "energy_inf": d.energy_inf,
         "temperature": d.temperature,
     }
-    os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
-        path = os.path.join(args.out, "constants.json")
-        with open(path, "w") as f:
-            json.dump({"schema": "constants-v1", **rows}, f, sort_keys=True,
-                      indent=1)
-            f.write("\n")
+        path = _write_text(args, "constants.json",
+                           json.dumps({"schema": "constants-v1", **rows},
+                                      sort_keys=True, indent=1) + "\n")
     else:
-        path = os.path.join(args.out, "constants.csv")
-        with open(path, "w") as f:
-            f.write("# schema=constants-v1\nname,value\n")
-            for k, v in rows.items():
-                f.write(f"{k},{v:.17g}\n")
+        path = _write_table(args, "constants", "constants-v1",
+                            ["name", "value"], rows.items())
     print(f"constants written to {path}")
     print(f"omega={d.omega:.6g}  theta={d.theta:.6g}  "
           f"sigma_q_bar={d.sigma_q_bar:.6g}  energy_inf={d.energy_inf:.6g}")
@@ -219,8 +224,24 @@ def _report_branches(args, cfg, records, aborted) -> list:
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
     summary, records, aborted = run_ensemble(cfg, return_records=True)
-    os.makedirs(args.out, exist_ok=True)
-    written = summary.save(args.out, args.format)
+    if args.format == "json":
+        written = [_write_text(args, "summary.json", summary.to_json() + "\n")]
+    else:
+        # each field's mean and standard error side by side, behind t
+        cols = ["t"] + [f"{stat}_{name}" for name in RECORD_FIELDS[1:]
+                        for stat in ("mean", "sem")]
+        pairs = np.stack([summary.mean[:, 1:], summary.sem[:, 1:]], axis=2)
+        centers = 0.5 * (summary.hist_edges[:-1] + summary.hist_edges[1:])
+        written = [
+            _write_table(args, "moments", "ensemble-moments-v1", cols,
+                         np.column_stack([summary.times,
+                                          pairs.reshape(len(pairs), -1)])),
+            _write_table(args, "final_density", "ensemble-density-v1",
+                         ["x", "density"],
+                         np.column_stack([summary.density_x, summary.density])),
+            _write_table(args, "final_q_hist", "ensemble-hist-v1",
+                         ["q_center", "count"],
+                         np.column_stack([centers, summary.hist_counts]))]
     print(f"{cfg.n_trajectories} trajectories, {summary.n_aborted} aborted")
     # raw-measure branch fractions of the linear equation would mislead
     if cfg.equation == "nonlinear" and cfg.initial == "superposition":
@@ -403,12 +424,9 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
               f"residual {c['max_residual']:.3g} (tol {c['tol']:.3g})")
 
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "verify.json")
-    with open(path, "w") as f:
-        json.dump({"schema": "verify-v1", "passed": bool(all_ok),
-                   "checks": checks}, f, sort_keys=True, indent=1)
-        f.write("\n")
+    path = _write_text(args, "verify.json", json.dumps(
+        {"schema": "verify-v1", "passed": bool(all_ok), "checks": checks},
+        sort_keys=True, indent=1) + "\n")
     print(f"report written to {path}")
     return 0 if all_ok else 2
 

@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -133,7 +132,15 @@ class ExperimentConfig:
                 min(self.weights) < 0.0 or not sum(self.weights) > 0.0):
             raise ValueError("weights must be non-negative with a positive "
                              f"sum, got {self.weights}")
-        self.grid()  # Grid checks n_points and the interval
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must be in [0, 2**64), "
+                             f"got {self.master_seed}")
+        try:
+            self.grid()  # Grid checks n_points and the interval
+        except ValueError as exc:
+            raise ValueError(f"n_points = {self.n_points} (x_min = "
+                             f"{self.x_min:g}, x_max = {self.x_max:g}): "
+                             f"{exc}") from None
 
     def params(self) -> ModelParams:
         hb = self.hbar
@@ -268,47 +275,6 @@ class EnsembleSummary:
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
-    def save(self, out_dir: str, fmt: str = "json") -> list:
-        os.makedirs(out_dir, exist_ok=True)
-        written = []
-        if fmt == "json":
-            path = os.path.join(out_dir, "summary.json")
-            with open(path, "w") as f:
-                f.write(self.to_json() + "\n")
-            written.append(path)
-        elif fmt == "csv":
-            path = os.path.join(out_dir, "moments.csv")
-            cols = ["t"]
-            for name in RECORD_FIELDS[1:]:
-                cols += [f"mean_{name}", f"sem_{name}"]
-            body = np.empty((len(self.times), len(cols)))
-            body[:, 0] = self.times
-            for j, name in enumerate(RECORD_FIELDS[1:], start=1):
-                body[:, 2 * j - 1] = self.mean[:, j]
-                body[:, 2 * j] = self.sem[:, j]
-            _write_csv(path, "ensemble-moments-v1", cols, body)
-            written.append(path)
-            path = os.path.join(out_dir, "final_density.csv")
-            _write_csv(path, "ensemble-density-v1", ["x", "density"],
-                       np.column_stack([self.density_x, self.density]))
-            written.append(path)
-            path = os.path.join(out_dir, "final_q_hist.csv")
-            centers = 0.5 * (self.hist_edges[:-1] + self.hist_edges[1:])
-            _write_csv(path, "ensemble-hist-v1", ["q_center", "count"],
-                       np.column_stack([centers, self.hist_counts]))
-            written.append(path)
-        else:
-            raise ValueError(f"unknown format: {fmt}")
-        return written
-
-
-def _write_csv(path: str, schema: str, cols, body: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write(f"# schema={schema}\n")
-        f.write(",".join(cols) + "\n")
-        for row in np.atleast_2d(body):
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def _run_batch(cfg: ExperimentConfig, start: int, count: int):
     p = cfg.params()
@@ -341,11 +307,13 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     """
     starts = range(0, cfg.n_trajectories, cfg.batch_size)
     sizes = [min(cfg.batch_size, cfg.n_trajectories - s) for s in starts]
-    # both maps return the batches in start order
-    if cfg.n_workers > 1:
+    # a fork pool starts all its workers at once: no more than there are
+    # batches; both maps return the batches in start order
+    workers = min(cfg.n_workers, len(starts))
+    if workers > 1:
         # imported here: the pool costs a serial run about 20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_batch, repeat(cfg), starts, sizes))
     else:
         results = list(map(_run_batch, repeat(cfg), starts, sizes))

@@ -25,11 +25,15 @@ class, is read in its body: a parameter that nothing reads is an option
 that changes nothing.  A leading underscore (`_t`) marks a parameter that
 a callback signature needs but the body does not.
 
-Last, a public method of a public class stays only if the reached code
+A public method of a public class stays only if the reached code
 uses its name as an attribute (`comp.passed`, `cfg.grid`).  The walk
 cannot tell an object's class, so any attribute of that name counts.  For
 this rule the benchmark in `perfbench/` is a root as well, since its
 gate calls a method the CLI does not.
+
+Last, `cli.py` writes every output file, all through `_write_text`: no
+other code of the package calls `open` with a mode that writes, or makes
+a directory.
 """
 
 import ast
@@ -324,6 +328,56 @@ def unused_methods(modules, scripts):
     return sorted((mod, name) for mod, m in modules.items()
                   for name, _ in _public_functions(m)
                   if "." in name and name.split(".")[1] not in used)
+
+
+def file_writes(tree):
+    """Line numbers of the calls in tree that make a directory
+    (`os.makedirs`, `os.mkdir`) or open a file with a mode that writes; a
+    mode that is not a string literal counts as writing."""
+    lines = []
+    for sub in ast.walk(tree):
+        if not isinstance(sub, ast.Call):
+            continue
+        name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+        if name == "open":
+            modes = sub.args[1:2] + [k.value for k in sub.keywords
+                                     if k.arg == "mode"]
+            if not any(not isinstance(m, ast.Constant)
+                       or set("wax+") & set(str(m.value)) for m in modes):
+                continue
+        elif name not in ("makedirs", "mkdir"):
+            continue
+        lines.append(sub.lineno)
+    return sorted(lines)
+
+
+def test_only_the_cli_writes_files():
+    writes = {fn: file_writes(_parse(os.path.join(SRC, fn)))
+              for fn in sorted(os.listdir(SRC))
+              if fn.endswith(".py") and fn != "cli.py"}
+    found = [f"{fn}:{line}" for fn, lines in writes.items() for line in lines]
+    assert not found, (
+        "files written or directories made outside cli.py: "
+        + ", ".join(found))
+    # and inside it, one helper writes
+    cli = _parse(os.path.join(SRC, "cli.py"))
+    writer = Module(cli).defs["_write_text"]
+    assert file_writes(cli) == file_writes(writer)
+
+
+def test_write_walk_flags_write_modes_and_directories():
+    tree = ast.parse(
+        "import os\n"
+        "def save(path, mode):\n"
+        "    os.makedirs(path)\n"
+        "    open(path, 'w').write('x')\n"
+        "    open(path, mode='a')\n"
+        "    open(path, mode)\n"
+        "    open(path).read(), open(path, 'rb').read(), box.open()\n"
+        "    with open(path, 'r+') as f:\n"
+        "        return f\n")
+    # the reads on line 7 are not flagged; a mode held in a name is
+    assert file_writes(tree) == [3, 4, 5, 6, 8]
 
 
 def test_every_public_definition_has_a_caller():

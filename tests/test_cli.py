@@ -410,6 +410,60 @@ class TestEnsemble:
         assert schema == "# schema=ensemble-density-v1"
 
 
+class TestSummaryFiles:
+    CFG = ExperimentConfig(n_trajectories=24, n_steps=30, n_points=128,
+                           xbar0=0.4, kbar0=-0.2, batch_size=8,
+                           record_every=10, master_seed=314, n_workers=2)
+
+    def run(self, tmp_path, fmt):
+        path = str(tmp_path / "exp.cfg")
+        write_config(self.CFG, path)
+        out = tmp_path / "out"
+        rc = cli.main(["ensemble", "--config", path, "--format", fmt,
+                       "--out", str(out)])
+        assert rc == 0
+        return out, run_ensemble(self.CFG)
+
+    def test_json_payload(self, tmp_path):
+        out, summary = self.run(tmp_path, "json")
+        assert os.listdir(out) == ["summary.json"]
+        with open(out / "summary.json") as f:
+            payload = json.load(f)
+        assert payload["schema"] == "ensemble-summary-v1"
+        assert payload["fields"] == list(RECORD_FIELDS)
+        assert "n_workers" not in payload["config"]
+        assert payload["n_trajectories"] == 24
+        assert np.array_equal(payload["mean"], summary.mean)
+
+    def test_csv_files(self, tmp_path):
+        out, summary = self.run(tmp_path, "csv")
+        assert sorted(os.listdir(out)) == [
+            "final_density.csv", "final_q_hist.csv", "moments.csv"]
+        tables = {name: read_csv(out / f"{name}.csv")
+                  for name in ("moments", "final_density", "final_q_hist")}
+        assert [t[0] for t in tables.values()] == [
+            "# schema=ensemble-moments-v1", "# schema=ensemble-density-v1",
+            "# schema=ensemble-hist-v1"]
+        _, header, body = tables["moments"]
+        assert body.shape == (len(summary.times), 1 + 2 * 8)
+        assert header[:3] == ["t", f"mean_{RECORD_FIELDS[1]}",
+                              f"sem_{RECORD_FIELDS[1]}"]
+        # through the %.17g round trip every value comes back bit for bit
+        assert np.array_equal(body[:, 0], summary.times)
+        assert np.array_equal(body[:, 1::2], summary.mean[:, 1:])
+        assert np.array_equal(body[:, 2::2], summary.sem[:, 1:])
+        _, header, body = tables["final_q_hist"]
+        assert header == ["q_center", "count"]
+        assert np.array_equal(body[:, 1], summary.hist_counts)
+
+    def test_unknown_format_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ensemble", "--format", "parquet",
+                      "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestErrors:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         rc = cli.main(["constants", "--config",
@@ -466,11 +520,16 @@ class TestErrors:
         assert "n_steps must be an integer, got 'abc'" in err
 
     @pytest.mark.parametrize("text, message", [
-        ("n_points = 100\n", "n must be a power of two, at least 64"),
-        ("x_min = 4.0\nx_max = 4.0\n", "empty grid interval"),
+        ("n_points = 100\n", "n_points = 100 (x_min = -16, x_max = 16): "
+                             "n must be a power of two, at least 64"),
+        ("x_min = 4.0\nx_max = 4.0\n",
+         "n_points = 256 (x_min = 4, x_max = 4): empty grid interval"),
         ("mass = 1" + "0" * 400 + "\n", "mass must be finite"),
         ('{"centers": [1' + "0" * 400 + ', 2]}', "centers must be finite"),
-    ], ids=["n_points", "interval", "huge-int", "huge-int-in-tuple"])
+        ("master_seed = -1\n", "master_seed must be in [0, 2**64), got -1"),
+        ("master_seed = 1" + "0" * 30 + "\n", "master_seed must be in"),
+    ], ids=["n_points", "interval", "huge-int", "huge-int-in-tuple",
+            "negative-seed", "huge-seed"])
     def test_config_refused_when_built_exits_1(self, tmp_path, capsys,
                                                text, message):
         # the grid and float checks run when the config is built, so a
@@ -483,6 +542,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "1" + "0" * 30])
+    def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):
+        # the seed keys a uint64 noise stream; it is refused when the
+        # config is built, not deep inside the run
+        rc = cli.main(["trajectory", "--seed", seed,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: master_seed must be in [0, 2**64), got {seed}\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):

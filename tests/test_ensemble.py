@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -105,10 +104,18 @@ class TestConfig:
         (dict(initial="superposition", centers=(), weights=()), "centers"),
         (dict(initial="superposition", weights=(-0.5, 1.5)), "weights"),
         (dict(initial="superposition", weights=(0.0, 0.0)), "weights"),
-    ], ids=["inf", "nan", "no-centre", "negative-weight", "zero-weights"])
+        (dict(master_seed=-1), "master_seed"),
+        (dict(master_seed=2**64), "master_seed"),
+    ], ids=["inf", "nan", "no-centre", "negative-weight", "zero-weights",
+            "negative-seed", "seed-past-uint64"])
     def test_rejects_values_no_run_can_use(self, bad, name):
         with pytest.raises(ValueError, match=name):
             en.ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_both_ends_of_the_seed_range(self, seed):
+        cfg = en.ExperimentConfig(master_seed=seed)
+        assert len(NoiseStream(cfg.master_seed, 0).increments(3, 0.01)) == 3
 
     def test_rejects_weights_centers_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
@@ -180,6 +187,38 @@ class TestRunEnsemble:
             assert np.array_equal(records[:, i], rec[:, 0]), i
             assert aborted[i] == ab[0]
 
+    @pytest.mark.parametrize("n_workers, n_trajectories, pool", [
+        (64, 16, 2), (2, 8, None), (3, 24, 3)],
+        ids=["more-workers-than-batches", "one-batch", "as-configured"])
+    def test_pool_holds_no_more_workers_than_batches(
+            self, monkeypatch, n_workers, n_trajectories, pool):
+        # a fork pool starts every worker it is built with, so it is sized
+        # to the batches, and one batch runs without a pool; the fake runs
+        # the batches in this process
+        import concurrent.futures
+
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        cfg = SMALL.replace(n_trajectories=n_trajectories)
+        got = en.run_ensemble(cfg.replace(n_workers=n_workers)).to_json()
+        assert built == ([] if pool is None else [pool])
+        assert got == en.run_ensemble(cfg).to_json()
+
     def test_seed_changes_results(self):
         one = en.run_ensemble(SMALL).to_json()
         other = en.run_ensemble(SMALL.replace(master_seed=315)).to_json()
@@ -233,40 +272,6 @@ class TestRunEnsemble:
                            match=r"all 6 trajectories aborted \(.*\); try a "
                                  r"smaller dt"):
             en.run_ensemble(cfg)
-
-
-class TestSummaryFiles:
-    def test_json_payload(self, tmp_path):
-        summary = en.run_ensemble(SMALL)
-        paths = summary.save(str(tmp_path), fmt="json")
-        assert len(paths) == 1
-        with open(paths[0]) as f:
-            payload = json.load(f)
-        assert payload["schema"] == "ensemble-summary-v1"
-        assert payload["fields"] == list(RECORD_FIELDS)
-        assert "n_workers" not in payload["config"]
-        assert payload["n_trajectories"] == 24
-        got = np.asarray(payload["mean"])
-        assert np.allclose(got, summary.mean, rtol=0, atol=0)
-
-    def test_csv_files(self, tmp_path):
-        summary = en.run_ensemble(SMALL)
-        paths = summary.save(str(tmp_path), fmt="csv")
-        names = sorted(p.split("/")[-1] for p in paths)
-        assert names == ["final_density.csv", "final_q_hist.csv", "moments.csv"]
-        for p in paths:
-            with open(p) as f:
-                first = f.readline()
-            assert first.startswith("# schema=ensemble-")
-        body = np.loadtxt([l for l in open(paths[0]) if not l.startswith("#")],
-                          delimiter=",", skiprows=1)
-        assert body.shape == (len(summary.times), 1 + 2 * 8)
-        assert np.allclose(body[:, 0], summary.times, rtol=0, atol=0)
-
-    def test_unknown_format_raises(self, tmp_path):
-        summary = en.run_ensemble(SMALL)
-        with pytest.raises(ValueError):
-            summary.save(str(tmp_path), fmt="parquet")
 
 
 class TestMasterComparison:
