@@ -41,7 +41,7 @@ import numpy as np
 from . import gaussian as ge
 from . import localization as loc
 from . import master as me
-from .constants import NUCLEON_MASS
+from .constants import BOLTZMANN, NUCLEON_MASS
 from .ensemble import (ExperimentConfig, branch_outcomes, compare_to_master,
                        run_ensemble)
 from .errors import InstabilityError
@@ -94,23 +94,15 @@ def _write_table(args, name, schema, cols, rows):
 
 def cmd_constants(args) -> int:
     cfg = _load_config(args)
-    if cfg.units == "si":
-        # SI mass defaults to the reference nucleon mass unless given; the
-        # field's default of 1.0 cannot tell a config that sets it apart
-        if args.mass is not None:
-            mass = args.mass
-        elif args.config and "mass" in ExperimentConfig.read_fields(
-                args.config):
-            mass = cfg.mass
-        else:
-            mass = NUCLEON_MASS
-        p = scale_parameters(mass)
-        d = derive_constants(p)
-    else:
-        if args.mass is not None:
-            cfg = cfg.replace(mass=args.mass)
-        p = cfg.params()
-        d = derive_constants(p, boltzmann=1.0)
+    if args.mass is not None:
+        cfg = cfg.replace(mass=args.mass)
+    elif cfg.units == "si" and "mass" not in (
+            ExperimentConfig.read_fields(args.config) if args.config else {}):
+        # SI mass defaults to the reference nucleon mass; the field's
+        # default of 1.0 cannot tell a config that sets it apart
+        cfg = cfg.replace(mass=NUCLEON_MASS)
+    p = cfg.params()
+    d = derive_constants(p, boltzmann=BOLTZMANN if cfg.units == "si" else 1.0)
     rows = {
         "mass": p.mass,
         "collapse_rate": p.collapse_rate,
@@ -347,8 +339,9 @@ def _verify_checks(cfg, pool) -> dict:
             worst = max(worst, abs(va - vb) / scale)
     checks["coefficient_routes"] = {"max_residual": float(worst), "tol": 1e-10}
 
-    cov_rk = ge.integrate_covariance(np.linspace(0, 5.0, 200), p, substeps=4)
-    cov_cf = ge.stationary_covariance(cov_rk.t[-1], p)
+    t_cov = np.linspace(0, 5.0, 200)
+    cov_rk = ge.integrate_covariance(t_cov, p, substeps=4)
+    cov_cf = ge.stationary_covariance(t_cov[-1], p)
     rel = float(max(
         abs(cov_rk.qq[-1] - cov_cf.qq) / abs(cov_cf.qq),
         abs(cov_rk.qp[-1] - cov_cf.qp) / abs(cov_cf.qp),
@@ -409,6 +402,10 @@ def _verify_checks(cfg, pool) -> dict:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    if cfg.params().collapse_rate == 0.0:
+        raise ValueError("verify needs collapse_rate > 0: its checks follow "
+                         "the relaxation to the stationary width, and "
+                         "collapse_rate = 0 has none")
     # imported here: the pool costs every other command start-up time
     from concurrent.futures import ProcessPoolExecutor
     # leaving the block joins the worker on every path

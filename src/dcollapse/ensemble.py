@@ -29,8 +29,7 @@ from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
 from .master import (coeff_flow, coefficients_from_gaussian,
                      moments_from_coefficients, position_density)
-from .model import ModelParams, derive_constants
-from .constants import HBAR
+from .model import ModelParams, derive_constants, scale_parameters
 from .errors import InstabilityError
 
 _FLOAT_TUPLE_FIELDS = {"centers", "weights", "kbars"}
@@ -66,8 +65,10 @@ def _is_finite(value) -> bool:
 class ExperimentConfig:
     """Flat description of one ensemble experiment.
 
-    hbar=None resolves to 1 in natural units and to the SI value otherwise.
-    a0_real/a0_imag=None start packets at the stationary width.
+    collapse_rate, momentum_coupling and hbar apply in natural units only,
+    where hbar=None resolves to 1; in SI units the couplings and hbar are
+    scale_parameters(mass).  a0_real/a0_imag=None start packets at the
+    stationary width.
     """
 
     units: str = "natural"
@@ -136,18 +137,28 @@ class ExperimentConfig:
             raise ValueError("master_seed must be in [0, 2**64), "
                              f"got {self.master_seed}")
         try:
-            self.grid()  # Grid checks n_points and the interval
+            dx = self.grid().dx  # Grid checks n_points and the interval
         except ValueError as exc:
             raise ValueError(f"n_points = {self.n_points} (x_min = "
                              f"{self.x_min:g}, x_max = {self.x_max:g}): "
                              f"{exc}") from None
+        # a start momentum past the grid's band folds back into it, where
+        # no alias check can see it
+        name, kbars = (("kbar0", [self.kbar0]) if self.initial == "gaussian"
+                       else ("kbars", self.kbars))
+        for k in kbars:
+            if abs(k) >= math.pi / dx:
+                raise ValueError(
+                    f"{name} = {k:g} is not below the grid's largest "
+                    f"wavenumber pi/dx = {math.pi / dx:.4g}; raise n_points "
+                    "or narrow the box (x_min, x_max)")
 
     def params(self) -> ModelParams:
-        hb = self.hbar
-        if hb is None:
-            hb = 1.0 if self.units == "natural" else HBAR
+        if self.units == "si":
+            return scale_parameters(self.mass)
         return ModelParams(mass=self.mass, collapse_rate=self.collapse_rate,
-                           momentum_coupling=self.momentum_coupling, hbar=hb)
+                           momentum_coupling=self.momentum_coupling,
+                           hbar=1.0 if self.hbar is None else self.hbar)
 
     def grid(self) -> Grid:
         return Grid(x_min=self.x_min, x_max=self.x_max, n=self.n_points)
@@ -155,6 +166,9 @@ class ExperimentConfig:
     def initial_gaussian(self) -> GaussianState:
         p = self.params()
         if self.a0_real is None:
+            if p.collapse_rate == 0.0:
+                raise ValueError("a0_real must be set: collapse_rate = 0 "
+                                 "leaves no stationary width to start at")
             a = derive_constants(p, boltzmann=1.0).a_inf
             if self.a0_imag is not None:
                 a = complex(a.real, self.a0_imag)

@@ -71,19 +71,11 @@ class SpreadTriple:
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Ensemble covariances of the packet centres (position units for qq,
-    mixed for qp, momentum units for pp)."""
+    mixed for qp, momentum units for pp), at one time or on a time grid."""
 
     qq: float
     qp: float
     pp: float
-
-
-@dataclass(frozen=True)
-class CovariancePath:
-    t: np.ndarray
-    qq: np.ndarray
-    qp: np.ndarray
-    pp: np.ndarray
 
 
 def _riccati_constants(p: ModelParams):
@@ -122,9 +114,9 @@ def _free_width(a0, t, m, hb):
 def integrate_a_ode(a0, t_grid, p: ModelParams, substeps: int = 1):
     """Runge-Kutta integration of the width Riccati flow along t_grid.
 
-    Vectorizes over array a0.  A step on which |a| more than doubles while
-    sitting far above every physical scale aborts with InstabilityError;
-    refine the grid in that case.
+    Vectorizes over array a0.  An interval on which |a| more than doubles
+    while sitting far above every physical scale aborts with
+    InstabilityError; refine the grid in that case.
     """
     a0 = np.asarray(a0, dtype=complex)
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
@@ -134,20 +126,14 @@ def integrate_a_ode(a0, t_grid, p: ModelParams, substeps: int = 1):
     def rhs(_t, a):
         return -(2j * hb / m) * a * a - 4.0 * lam * al * a + lam
 
-    path = np.empty((len(t_grid),) + a0.shape, dtype=complex)
-    path[0] = a0
-    y = a0
-    for i in range(len(t_grid) - 1):
-        seg = numerics.rk4_path(rhs, y, [t_grid[i], t_grid[i + 1]], substeps=substeps)
-        y_new = seg[-1]
-        grew = np.abs(y_new) > 2.0 * np.abs(y)
-        huge = np.abs(y_new) > 10.0 * scale
-        if np.any(grew & huge):
-            raise InstabilityError(
-                "width parameter doubled in one step; refine the time grid"
-            )
-        y = y_new
-        path[i + 1] = y
+    # a blow-up runs on to inf and nan; the guard below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = numerics.rk4_path(rhs, a0, t_grid, substeps=substeps)
+    size = np.abs(path)
+    if np.any((size[1:] > 2.0 * size[:-1]) & (size[1:] > 10.0 * scale)):
+        raise InstabilityError(
+            "width parameter doubled in one step; refine the time grid"
+        )
     return path
 
 
@@ -180,7 +166,7 @@ def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
 
 
 def integrate_covariance(t_grid, p: ModelParams,
-                         substeps: int = 4) -> CovariancePath:
+                         substeps: int = 4) -> CovarianceMatrix:
     """Runge-Kutta solution of the centre-covariance ODE system for a
     trajectory at a = a_inf, started at zero covariance.
 
@@ -189,7 +175,8 @@ def integrate_covariance(t_grid, p: ModelParams,
         d Cpp = -4 lam alpha Cpp + lam hbar^2 c(a)^2
 
     with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a: the reference
-    for the closed form of stationary_covariance.
+    for the closed form of stationary_covariance, which returns the same
+    CovarianceMatrix of arrays over t_grid.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     a = complex(derive_constants(p, boltzmann=1.0).a_inf)
@@ -204,9 +191,8 @@ def integrate_covariance(t_grid, p: ModelParams,
             -4.0 * lam * al * pp + lam * hb * hb * c * c,
         ])
 
-    t_grid = np.asarray(t_grid, dtype=float)
     path = numerics.rk4_path(rhs, np.zeros(3), t_grid, substeps=substeps)
-    return CovariancePath(t=t_grid, qq=path[:, 0], qp=path[:, 1], pp=path[:, 2])
+    return CovarianceMatrix(qq=path[:, 0], qp=path[:, 1], pp=path[:, 2])
 
 
 def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
@@ -248,7 +234,7 @@ def _scalarize(cm: CovarianceMatrix) -> CovarianceMatrix:
 
 
 __all__ = [
-    "GaussianState", "SpreadTriple", "CovarianceMatrix", "CovariancePath",
+    "GaussianState", "SpreadTriple", "CovarianceMatrix",
     "a_closed_form", "integrate_a_ode", "spreads", "free_evolve",
     "integrate_covariance", "stationary_covariance",
 ]

@@ -16,6 +16,7 @@ from dcollapse.constants import NUCLEON_MASS
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
 from dcollapse.errors import InstabilityError
 from dcollapse.grid import RECORD_FIELDS
+from dcollapse.model import derive_constants, scale_parameters
 
 from conftest import write_config
 
@@ -156,6 +157,22 @@ class TestTables:
         assert payload["schema"] == "gaussian-relaxation-v1"
         assert len(payload["columns"]) == 10
         assert len(payload["rows"]) == 21
+
+    def test_si_runs_take_the_scaled_couplings(self, tmp_path):
+        # a 1 kg object: the start width is its own stationary width, and
+        # the master flow of that start is a physical state
+        d = derive_constants(scale_parameters(1.0))
+        for command in ("gaussian", "master"):
+            rc = cli.main([command, "--units", "si", "--format", "json",
+                           "--out", str(tmp_path)])
+            assert rc == 0
+        with open(tmp_path / "gaussian.json") as f:
+            rows = json.load(f)["rows"]
+        assert rows[0][1:3] == pytest.approx([d.a_inf.real, d.a_inf.imag],
+                                             rel=1e-12)
+        with open(tmp_path / "master.json") as f:
+            purity = [row[-1] for row in json.load(f)["rows"]]
+        assert purity[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_master_flow_purity(self, tmp_path):
         rc = cli.main(["master", "--out", str(tmp_path)])
@@ -528,8 +545,13 @@ class TestErrors:
         ('{"centers": [1' + "0" * 400 + ', 2]}', "centers must be finite"),
         ("master_seed = -1\n", "master_seed must be in [0, 2**64), got -1"),
         ("master_seed = 1" + "0" * 30 + "\n", "master_seed must be in"),
+        ("kbar0 = 40\n", "kbar0 = 40 is not below the grid's largest "
+                         "wavenumber pi/dx = 25.13; raise n_points or narrow "
+                         "the box (x_min, x_max)"),
+        ("initial = superposition\nkbars = 0,-30\n",
+         "kbars = -30 is not below the grid's largest wavenumber"),
     ], ids=["n_points", "interval", "huge-int", "huge-int-in-tuple",
-            "negative-seed", "huge-seed"])
+            "negative-seed", "huge-seed", "aliased-kbar0", "aliased-kbars"])
     def test_config_refused_when_built_exits_1(self, tmp_path, capsys,
                                                text, message):
         # the grid and float checks run when the config is built, so a
@@ -553,6 +575,19 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: master_seed must be in [0, 2**64), got {seed}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_collapse_rate_names_the_start_width(self, tmp_path,
+                                                       capsys):
+        # no stationary width to start at, and none set
+        path = tmp_path / "free.cfg"
+        path.write_text("collapse_rate = 0\n")
+        rc = cli.main(["gaussian", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: a0_real must be set: collapse_rate = 0 leaves no "
+            "stationary width to start at\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -579,6 +614,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+    def test_zero_collapse_rate_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "free.cfg"
+        path.write_text("collapse_rate = 0\na0_real = 0.5\n")
+        rc = cli.main(["verify", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: verify needs collapse_rate > 0")
+        assert not (tmp_path / "verify.json").exists()
 
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch):
         broken = loc.StationarityResiduals(drift=1.0, mixed=0.0,

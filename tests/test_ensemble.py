@@ -8,6 +8,7 @@ from dcollapse.grid import (RECORD_FIELDS, NoiseStream, build_superposition,
 from dcollapse import ensemble as en
 from dcollapse import master as ms
 from dcollapse.errors import InstabilityError
+from dcollapse.model import scale_parameters
 
 from conftest import write_config
 
@@ -69,6 +70,26 @@ class TestConfig:
         si = SMALL.replace(units="si")
         assert si.params().hbar == pytest.approx(1.054571817e-34, rel=1e-9)
 
+    def test_si_couplings_scale_with_the_mass(self):
+        # collapse_rate, momentum_coupling and hbar apply in natural units
+        # only; SI runs take the couplings the mass scaling gives
+        cfg = en.ExperimentConfig(units="si", mass=3e-26, collapse_rate=5.0,
+                                  momentum_coupling=2.0, hbar=1.0)
+        assert cfg.params() == scale_parameters(3e-26)
+
+    def test_zero_collapse_rate_needs_a_start_width(self):
+        cfg = en.ExperimentConfig(collapse_rate=0.0)
+        with pytest.raises(ValueError, match="a0_real must be set"):
+            cfg.initial_gaussian()
+        assert cfg.replace(a0_real=0.5).initial_gaussian().a == 0.5
+
+    def test_accepts_a_start_momentum_inside_the_band(self):
+        assert en.ExperimentConfig(kbar0=-25.0).kbar0 == -25.0
+        assert en.ExperimentConfig(kbar0=40.0, n_points=512).kbar0 == 40.0
+        # a superposition starts its packets at kbars, not at kbar0
+        assert en.ExperimentConfig(initial="superposition", kbar0=40.0,
+                                   kbars=(25.0, -25.0)).kbar0 == 40.0
+
     def test_default_width_is_stationary(self):
         from dcollapse.model import derive_constants
         g = SMALL.initial_gaussian()
@@ -106,8 +127,18 @@ class TestConfig:
         (dict(initial="superposition", weights=(0.0, 0.0)), "weights"),
         (dict(master_seed=-1), "master_seed"),
         (dict(master_seed=2**64), "master_seed"),
+        # a start momentum at or past pi/dx folds back into the band,
+        # where no alias check sees it
+        (dict(kbar0=40.0), "kbar0 = 40 is not below"),
+        (dict(kbar0=-60.0), "kbar0 = -60 is not below"),
+        (dict(kbar0=math.pi / 0.125), "kbar0 = 25.1327 is not below"),
+        (dict(initial="superposition", kbars=(0.0, -30.0)),
+         "kbars = -30 is not below"),
+        (dict(initial="superposition", kbars=(1.0, 20.0), x_min=-64.0,
+              x_max=64.0), r"kbars = 20 is not below .* pi/dx = 6\.283"),
     ], ids=["inf", "nan", "no-centre", "negative-weight", "zero-weights",
-            "negative-seed", "seed-past-uint64"])
+            "negative-seed", "seed-past-uint64", "kbar0-40", "kbar0-60",
+            "kbar0-at-limit", "kbars-30", "kbars-wide-box"])
     def test_rejects_values_no_run_can_use(self, bad, name):
         with pytest.raises(ValueError, match=name):
             en.ExperimentConfig(**bad)
