@@ -8,6 +8,13 @@ arrays each FFT sees are identical no matter how many workers run; the
 summary is therefore bit-identical for any worker count, and changes only
 when the master seed (or the physics) changes.
 
+Memory bound: a run holds one record tensor, (n_records, n_trajectories,
+len(RECORD_FIELDS)) float64, plus a small overhead.  Each batch is copied
+into its slice of the tensor as it arrives and dropped, and the per-record
+statistics are taken block by block, at most 256 kB of records at a time,
+so the overhead is one batch's working set (serial) or about three
+batches' records (process pool), plus one block.
+
 compare_to_master cross-validates the simulated ensemble against the
 closed-form master-equation moments: means, second moments, energy, and the
 final spatial density.
@@ -24,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, spreads
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
 from .master import (coeff_flow, coefficients_from_gaussian,
@@ -33,6 +40,7 @@ from .model import ModelParams, derive_constants, scale_parameters
 from .errors import InstabilityError
 
 _FLOAT_TUPLE_FIELDS = {"centers", "weights", "kbars"}
+_BLOCK_BYTES = 1 << 18   # the largest block of records reduced at once
 _KIND_NAMES = {"str": "a string", "int": "an integer", "float": "a number",
                "tuple": "a list of numbers"}
 
@@ -293,8 +301,9 @@ class EnsembleSummary:
 def _run_batch(cfg: ExperimentConfig, start: int, count: int):
     p = cfg.params()
     grid = cfg.grid()
-    psi0 = cfg.initial_psi(grid)
-    psi = np.broadcast_to(psi0, (count, grid.n)).copy()
+    # evolve_batch copies the start into its own buffer, so a broadcast
+    # view of one row serves every trajectory
+    psi = np.broadcast_to(cfg.initial_psi(grid), (count, grid.n))
     incr = np.empty((count, cfg.n_steps))
     for row, idx in enumerate(range(start, start + count)):
         incr[row] = NoiseStream(cfg.master_seed, idx).increments(
@@ -304,10 +313,11 @@ def _run_batch(cfg: ExperimentConfig, start: int, count: int):
         record_every=cfg.record_every)
     # aborted rows are dropped before they are normalised: their norm may
     # be 0 or not finite
-    prob = np.abs(final_psi[~aborted]) ** 2
+    prob = np.abs(final_psi[~aborted])
+    np.square(prob, out=prob)
     norm = prob.sum(axis=-1, keepdims=True) * grid.dx
-    prob = prob / norm
-    return times, records, aborted, prob.sum(axis=0)
+    np.divide(prob, norm, out=prob)
+    return start, times, records, aborted, prob.sum(axis=0)
 
 
 def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
@@ -322,41 +332,57 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     starts = range(0, cfg.n_trajectories, cfg.batch_size)
     sizes = [min(cfg.batch_size, cfg.n_trajectories - s) for s in starts]
     # a fork pool starts all its workers at once: no more than there are
-    # batches; both maps return the batches in start order
+    # batches
     workers = min(cfg.n_workers, len(starts))
     if workers > 1:
         # imported here: the pool costs a serial run about 20 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_batch, repeat(cfg), starts, sizes))
+            # taken as they finish, so that no finished batch waits in
+            # memory for an earlier one
+            finished = as_completed([ex.submit(_run_batch, cfg, s, n)
+                                     for s, n in zip(starts, sizes)])
+            times, records, aborted, density_sum = _gather(
+                cfg, starts, _results(finished))
     else:
-        results = list(map(_run_batch, repeat(cfg), starts, sizes))
+        times, records, aborted, density_sum = _gather(
+            cfg, starts, map(_run_batch, repeat(cfg), starts, sizes))
 
-    times, records, aborted, density_sums = zip(*results)
-    times = times[0]
-    records = np.concatenate(records, axis=1)
-    aborted = np.concatenate(aborted)
     grid = cfg.grid()
     if aborted.all():
-        # a start that fails at t = 0 (a run of no steps) needs a new box
-        if evolve_batch(cfg.initial_psi(grid), grid, cfg.params(), cfg.dt, 0,
-                        np.empty((1, 0)), equation=cfg.equation)[3][0]:
+        # a start that fails at t = 0 (a run of no steps) needs a new grid:
+        # a finer one when its packets are narrower than dx, else a wider box
+        p = cfg.params()
+        sigma_q = spreads(cfg.initial_gaussian().a, p).sigma_q
+        if not evolve_batch(cfg.initial_psi(grid), grid, p, cfg.dt, 0,
+                            np.empty((1, 0)), equation=cfg.equation)[3][0]:
+            why = (" (norm loss or growth, aliasing, or leakage at the box "
+                   "edge); try a smaller dt or a wider box (x_min, x_max)")
+        elif sigma_q < grid.dx:
+            why = (": the initial state already fails at t = 0, because its "
+                   f"packet width sigma_q = {sigma_q:.3g} is below the grid "
+                   f"spacing dx = {grid.dx:.3g}; raise n_points or narrow "
+                   "the box (x_min, x_max)")
+        else:
             why = (": the initial state already fails the box-edge leak or "
                    "aliasing check at t = 0; widen the box (x_min, x_max) "
                    "or move the packets inward")
-        else:
-            why = (" (norm loss or growth, aliasing, or leakage at the box "
-                   "edge); try a smaller dt or a wider box (x_min, x_max)")
         raise InstabilityError(f"all {aborted.size} trajectories aborted{why}")
     ok = ~aborted
-    density = sum(density_sums) / ok.sum()
-    kept = records[:, ok, :]
-    nv = kept.shape[1]
-    mean = kept.mean(axis=1)
-    if nv > 1:
-        sem = kept.std(axis=1, ddof=1) / math.sqrt(nv)
-    else:
-        sem = np.zeros_like(mean)
+    nv = int(ok.sum())
+    density = density_sum / nv
+    # a block's mean and std over axis 1 are the whole tensor's bit for
+    # bit; only a run with aborted rows copies the kept rows of a block
+    rows = slice(None) if nv == ok.size else ok
+    mean = np.empty((len(times), records.shape[2]))
+    sem = np.zeros_like(mean)
+    step = max(1, _BLOCK_BYTES // records[0].nbytes)
+    for lo in range(0, len(times), step):
+        kept = records[lo:lo + step, rows]
+        mean[lo:lo + step] = kept.mean(axis=1)
+        if nv > 1:
+            sem[lo:lo + step] = kept.std(axis=1, ddof=1) / math.sqrt(nv)
+        del kept   # before the next block is taken
     q_final = records[-1, ok, RECORD_FIELDS.index("q_mean")]
     edges = np.linspace(cfg.x_min, cfg.x_max, 65)
     counts, _ = np.histogram(q_final, bins=edges)
@@ -370,6 +396,33 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     if return_records:
         return summary, records, aborted
     return summary
+
+
+def _results(finished):
+    """The result of each future from finished, let go before the next one
+    is waited for."""
+    for fut in finished:
+        yield fut.result()
+        del fut
+
+
+def _gather(cfg: ExperimentConfig, starts, results):
+    """The times, the record tensor, the abort flags and the density sum of
+    _run_batch results in any order.  Each batch is dropped once copied;
+    the densities add up in start order, 0 + d0 + d1 + ..., as sum() did."""
+    records = aborted = None
+    densities = {}
+    for start, times, batch, batch_aborted, density in results:
+        if records is None:
+            n_rec, _, n_fields = batch.shape
+            records = np.empty((n_rec, cfg.n_trajectories, n_fields))
+            aborted = np.empty(cfg.n_trajectories, dtype=bool)
+        stop = start + batch.shape[1]
+        records[:, start:stop] = batch
+        aborted[start:stop] = batch_aborted
+        densities[start] = density
+        del batch, batch_aborted
+    return times, records, aborted, sum(densities[s] for s in starts)
 
 
 def branch_outcomes(cfg: ExperimentConfig, records: np.ndarray,
@@ -439,18 +492,20 @@ def compare_to_master(cfg: ExperimentConfig, summary: EnsembleSummary,
     hb = p.hbar
     c0 = coefficients_from_gaussian(cfg.initial_gaussian(), p)
     ok = ~aborted
-    kept = records[:, ok, :]
-    nv = kept.shape[1]
 
     def col(name):
-        return kept[:, :, RECORD_FIELDS.index(name)]
+        # one column's kept rows in one copy; like a masked copy of the
+        # whole tensor it is laid out trajectory by trajectory, so the sums
+        # over trajectories run in the same order
+        return records[:, ok, RECORD_FIELDS.index(name)]
 
-    q2 = col("sigma_q_sq") + col("q_mean") ** 2
-    p2 = col("sigma_p_sq") + col("p_mean") ** 2
+    q_mean, p_mean = col("q_mean"), col("p_mean")
     samples = {
-        "q_mean": col("q_mean"), "p_mean": col("p_mean"),
-        "q_second": q2, "p_second": p2,
+        "q_mean": q_mean, "p_mean": p_mean,
+        "q_second": col("sigma_q_sq") + q_mean ** 2,
+        "p_second": col("sigma_p_sq") + p_mean ** 2,
     }
+    nv = q_mean.shape[1]
     theory = {k: np.empty(len(summary.times)) for k in samples}
     for i, t in enumerate(summary.times):
         mom = moments_from_coefficients(coeff_flow(c0, float(t), p), p)

@@ -325,6 +325,19 @@ class TestEnsemble:
             assert "run error: all 4 trajectories aborted" in err
             assert not (tmp_path / "moments.csv").exists()
 
+    def test_unresolved_si_start_names_width_and_spacing(self, tmp_path,
+                                                         capsys):
+        # the default box at 256 points has dx = 0.125 m, far wider than a
+        # 1 kg packet: the advice is a finer grid, not a wider box
+        rc = cli.main(["ensemble", "--units", "si", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("all 100 trajectories aborted: the initial state already "
+                "fails at t = 0, because its packet width sigma_q = "
+                "1.45e-15 is below the grid spacing dx = 0.125; raise "
+                "n_points or narrow the box (x_min, x_max)") in err
+        assert "widen" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_superposition_writes_branch_outcomes(self, tmp_path, capsys,
                                                   fmt):

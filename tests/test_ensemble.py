@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,8 +241,10 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
@@ -269,16 +272,43 @@ class TestRunEnsemble:
                     inc[3] = np.nan
                 return inc
 
+        # the fork pool's workers inherit the patched stream; 301 records
+        # of 24 trajectories are reduced in two blocks
         monkeypatch.setattr(en, "NoiseStream", PoisonedStream)
-        summary, records, aborted = en.run_ensemble(SMALL,
-                                                    return_records=True)
-        assert np.flatnonzero(aborted).tolist() == [5]
-        assert np.isnan(records[-1, 5]).any()
-        assert summary.n_aborted == 1
-        assert np.isfinite(summary.mean).all()
-        assert np.isfinite(summary.sem).all()
-        assert np.isfinite(summary.density).all()
-        assert int(summary.hist_counts.sum()) == 23
+        cfg = SMALL.replace(n_steps=300, record_every=1)
+        for n_workers in (1, 2):
+            summary, records, aborted = en.run_ensemble(
+                cfg.replace(n_workers=n_workers), return_records=True)
+            assert np.flatnonzero(aborted).tolist() == [5]
+            assert np.isnan(records[-1, 5]).any()
+            assert summary.n_aborted == 1
+            assert np.isfinite(summary.mean).all()
+            assert np.isfinite(summary.sem).all()
+            assert np.isfinite(summary.density).all()
+            assert int(summary.hist_counts.sum()) == 23
+            # reduced block by block, the statistics are the whole
+            # tensor's bit for bit
+            assert records.nbytes > en._BLOCK_BYTES
+            kept = records[:, ~aborted, :]
+            assert np.array_equal(summary.mean, kept.mean(axis=1))
+            assert np.array_equal(summary.sem, kept.std(axis=1, ddof=1)
+                                  / math.sqrt(kept.shape[1]))
+
+    def test_run_holds_one_record_tensor(self):
+        # a serial run of 16 batches, recorded at every step: besides its
+        # record tensor it holds one batch at a time and one block of the
+        # reduction, where a copy of the whole tensor would be another 1x
+        cfg = en.ExperimentConfig(n_points=64, n_trajectories=256,
+                                  batch_size=16, n_steps=100, record_every=1,
+                                  master_seed=5)
+        tracemalloc.start()
+        try:
+            _, records, aborted = en.run_ensemble(cfg, return_records=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not aborted.any()
+        assert peak < 1.5 * records.nbytes + 2**16
 
     def test_all_aborted_run_raises(self):
         cfg = SMALL.replace(xbar0=11.0, n_trajectories=6, batch_size=6,
