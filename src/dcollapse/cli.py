@@ -276,7 +276,19 @@ def cmd_density(args) -> int:
     cfg = _load_config(args)
     _require_gaussian(cfg, "density")
     t = cfg.dt * cfg.n_steps
-    x = cfg.grid().x
+    grid, p = cfg.grid(), cfg.params()
+    # a density narrower than dx falls on one grid point or none, and
+    # its trapezoid norm reads anything
+    c0 = me.coefficients_from_gaussian(cfg.initial_gaussian(), p)
+    sigma_q = math.sqrt(
+        me.moments_from_coefficients(me.coeff_flow(c0, t, p), p).var_q)
+    if sigma_q < grid.dx:
+        raise ValueError(
+            f"the grid cannot resolve the density at t={t:g}: its width "
+            f"sigma_q = {sigma_q:.3g} is below the grid spacing "
+            f"dx = {grid.dx:.3g}; raise n_points or narrow the box "
+            "(x_min, x_max)")
+    x = grid.x
     profiles = _route_profiles(cfg, t, x)
     body = np.column_stack([x] + [profiles[m].density for m in profiles])
     cols = ["x"] + list(profiles)

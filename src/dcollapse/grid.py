@@ -259,7 +259,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     lam, hb = p.collapse_rate, p.hbar
     beta = p.momentum_coupling / hb
     lam_dt = lam * dt
-    kicks = math.sqrt(lam) * increments
+    root_lam = math.sqrt(lam)
     x, dx, hbk = grid.x, grid.dx, hb * grid.k
     # i beta p in the FFT basis, and the p^2 part of the interaction.  The
     # inverse FFTs run unscaled: the kinetic factors carry their 1/n, and
@@ -328,7 +328,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         _ifft(phi, psi)
         np.multiply(phi, ibp, out=scratch)
         _ifft(scratch, ppsi)
-        kick = kicks[:, step - 1]
+        kick = root_lam * increments[:, step - 1]
         if nonlinear:
             q01 = _rowdot(_squares(psi, scratch), qbasis[:2])
             # a zero row keeps r = 0 instead of 0/0; its norm aborts it

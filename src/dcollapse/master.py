@@ -70,9 +70,7 @@ class StateMoments:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    x: np.ndarray
     density: np.ndarray
-    method: str
     norm: float
     beta: float | None = None
 
@@ -283,11 +281,20 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
     mean = gs.xbar - 2.0 * hb * gs.kbar * s
     var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
         + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
-    dens = np.exp(-0.5 * (x - mean) ** 2 / var) \
-        / math.sqrt(2.0 * math.pi * var)
-    # np.trapezoid's own formula and bits, without its dispatch cost
-    norm = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
-    return DensityProfile(x=x, density=dens, method=method, norm=norm, beta=beta)
+    # exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var), operation by
+    # operation in one buffer
+    dens = np.subtract(x, mean)
+    np.square(dens, out=dens)
+    np.multiply(dens, -0.5, out=dens)
+    np.divide(dens, var, out=dens)
+    np.exp(dens, out=dens)
+    np.divide(dens, math.sqrt(2.0 * math.pi * var), out=dens)
+    # np.trapezoid's formula and bits, np.diff's included, in place
+    w = np.subtract(x[1:], x[:-1])
+    np.multiply(w, np.add(dens[1:], dens[:-1]), out=w)
+    np.divide(w, 2.0, out=w)
+    return DensityProfile(density=dens, norm=float(np.add.reduce(w)),
+                          beta=beta)
 
 
 __all__ = [

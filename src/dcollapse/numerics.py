@@ -16,13 +16,15 @@ threshold.  Series coefficients are generated from integer arithmetic at
 import time, and the retained order makes the truncation error far below
 double precision at the switch point.
 
-The callers pass a scalar u, and a scalar is evaluated as a float: Horner
-runs on Python floats, whose products and sums round exactly as numpy's do.
-The final power u^n and the exponentials of the direct branch still go
-through numpy on a 0-d array, because libm's pow and exp (Python's ** and
-math.exp) round differently from numpy's on a few percent of arguments.  So
-a scalar call returns a float equal, bit for bit, to the same element of an
-array call.
+The callers pass a scalar u, and a scalar is evaluated as a Python float:
+a Python float is used as it is, an np.float64, an int or a 0-d array is
+converted once, and no 0-d array is made from a float.  Horner runs on
+Python floats, whose products and sums round exactly as numpy's do.  The
+final power u^n and the exponentials (np.power, np.exp, np.expm1) are
+numpy's ufuncs called on the float, because libm's pow and exp (Python's
+** and math.exp) round differently from numpy's on a few percent of
+arguments.  So a scalar call returns a float equal, bit for bit, to the
+same element of an array call.
 
 Signs for u >= 0: gamma, f2 >= 0; k1, k2, k3 <= 0.
 """
@@ -60,12 +62,19 @@ def _horner(u, coeffs):
     return acc
 
 
-def _eval_kernel(u, coeffs, n_min, direct):
+def _operand(u):
+    """u as a Python float if it is a scalar, else as a float array."""
+    if isinstance(u, float):   # np.float64 included
+        return float(u)
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        v = float(u)
-        if v < _SWITCH:
-            return _horner(v, coeffs) * float(np.power(u, n_min))
+    return float(u) if u.ndim == 0 else u
+
+
+def _eval_kernel(u, coeffs, n_min, direct):
+    u = _operand(u)
+    if isinstance(u, float):
+        if u < _SWITCH:
+            return _horner(u, coeffs) * float(np.power(u, n_min))
         return float(direct(u))
     out = np.empty_like(u)
     small = u < _SWITCH
@@ -80,8 +89,9 @@ def _eval_kernel(u, coeffs, n_min, direct):
 
 def one_minus_exp(u):
     """gamma(u) = 1 - e^-u, accurate for all u >= 0."""
-    out = -np.expm1(-np.asarray(u, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    u = _operand(u)
+    out = -np.expm1(-u)
+    return float(out) if isinstance(u, float) else out
 
 
 def f2(u):

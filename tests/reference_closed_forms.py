@@ -17,6 +17,9 @@ here are kept only as oracles:
 - `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
+- `normal_density` is that normal density and its trapezoid norm written
+  as array expressions.  `master.position_density` evaluates the same
+  operations in the same order in place, and must match it bit for bit.
 """
 
 import math
@@ -69,6 +72,15 @@ def wavefunction(g: GaussianState, x):
     norm = (2.0 * ar / math.pi) ** 0.25
     dx = x - g.xbar
     return norm * np.exp(-g.a * dx * dx + 1j * g.kbar * dx)
+
+
+def normal_density(x, mean: float, var: float):
+    """The normal density on the points x and its np.trapezoid norm."""
+    x = np.asarray(x, dtype=float)
+    dens = np.exp(-0.5 * (x - mean) ** 2 / var) \
+        / math.sqrt(2.0 * math.pi * var)
+    norm = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
+    return dens, norm
 
 
 @dataclass(frozen=True)

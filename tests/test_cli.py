@@ -201,6 +201,18 @@ class TestTables:
         out = capsys.readouterr().out
         assert "beta_t=" in out
 
+    def test_unresolved_si_density_is_refused(self, tmp_path, capsys):
+        # a 1 kg packet on the default grid falls on one point, and the
+        # trapezoid norms would read 3.4e13
+        out = tmp_path / "out"
+        rc = cli.main(["density", "--units", "si", "--out", str(out)])
+        assert rc == 1
+        assert ("error: the grid cannot resolve the density at t=2: its "
+                "width sigma_q = 1.45e-15 is below the grid spacing "
+                "dx = 0.125; raise n_points or narrow the box "
+                "(x_min, x_max)") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["master", "density"])
     def test_superposition_is_refused(self, tmp_path, capsys, command):
         # both tables describe a single Gaussian start; a superposition

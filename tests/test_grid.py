@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -418,6 +419,30 @@ class TestBuffers:
             a[...] = np.nan if a.dtype.kind in "fc" else True
         for b, want in zip(second, kept):
             assert np.array_equal(b, want)
+
+
+    def test_holds_no_copy_of_the_increments(self, p_nat, packet):
+        # one long call with records only at the ends: besides its inputs
+        # it holds its (B, n) work buffers, about 8 kB a row here, where a
+        # scaled copy of the increments would be another 1x of them
+        small = gr.Grid(-16.0, 16.0, 64)
+        n_batch, n_steps, dt = 32, 3000, 0.0005
+        psi0 = np.broadcast_to(gr.build_gaussian(small, packet),
+                               (n_batch, small.n)).copy()
+        inc = np.stack([gr.NoiseStream(8, i).increments(n_steps, dt)
+                        for i in range(n_batch)])
+        # numpy imports its fft module on first use; keep that out
+        gr.evolve_batch(psi0, small, p_nat, dt, 1, inc[:, :1])
+        tracemalloc.start()
+        try:
+            _, _, _, aborted = gr.evolve_batch(psi0, small, p_nat, dt,
+                                               n_steps, inc,
+                                               record_every=n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not aborted.any()
+        assert peak < 0.5 * inc.nbytes
 
 
 class TestRecordSteps:

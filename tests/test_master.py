@@ -312,7 +312,6 @@ class TestPositionDensity:
             / math.sqrt(2.0 * math.pi * mom.var_q)
         assert np.max(np.abs(prof.density - want)) / np.max(want) < 1e-8
         assert prof.norm == pytest.approx(1.0, abs=1e-6)
-        assert prof.method == "exact"
 
     def test_interval_probability_splits(self, g0, c0, p_nat):
         t = 0.3
@@ -400,6 +399,41 @@ class TestPositionDensity:
         prof = ms.position_density(g0, 1.3, p_nat, x, method=method)
         want = float(np.trapezoid(prof.density, x))
         assert np.float64(prof.norm).tobytes() == np.float64(want).tobytes()
+
+    def test_routes_equal_the_expression_form_bit_for_bit(self):
+        # random couplings, times, states and points, with lam = 0,
+        # alpha = 0 and t = 0 among them; (b, s), mean and var as the
+        # position_density docstring writes them
+        rng = np.random.default_rng(20)
+        for i in range(300):
+            lam = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-3.0, 0.5)
+            al = 0.0 if i % 10 == 1 else 10.0 ** rng.uniform(-3.0, 0.5)
+            t = 0.0 if i % 10 == 2 else 10.0 ** rng.uniform(-3.0, 1.0)
+            p = ModelParams(mass=10.0 ** rng.uniform(-1.0, 1.0),
+                            collapse_rate=lam, momentum_coupling=al,
+                            hbar=10.0 ** rng.uniform(-0.5, 0.5))
+            g0 = GaussianState(a=complex(10.0 ** rng.uniform(-1.0, 1.0),
+                                         rng.uniform(-1.0, 1.0)),
+                               xbar=rng.uniform(-3.0, 3.0),
+                               kbar=rng.uniform(-2.0, 2.0))
+            x = np.sort(rng.uniform(-20.0, 20.0, int(rng.integers(0, 200))))
+            gs = free_evolve(g0, t, p)
+            ar, ai, hb = gs.a.real, gs.a.imag, p.hbar
+            for method in ("exact", "expansion", "smoothed", "free"):
+                if method == "smoothed":
+                    b, s = 1.0 / (4.0 * ms.beta_t(t, p) * hb * hb), 0.0
+                elif method == "free" or lam == 0.0 or t == 0.0:
+                    b, s = 0.0, 0.0
+                else:
+                    b, s = reference_quadrature.route_weights(method, t, p)
+                mean = gs.xbar - 2.0 * hb * gs.kbar * s
+                var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
+                    + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
+                want, norm = rcf.normal_density(x, mean, var)
+                prof = ms.position_density(g0, t, p, x, method=method)
+                assert prof.density.tobytes() == want.tobytes()
+                assert np.float64(prof.norm).tobytes() \
+                    == np.float64(norm).tobytes()
 
     def test_unknown_method_raises(self, g0, p_nat):
         with pytest.raises(ValueError):

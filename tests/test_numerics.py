@@ -101,12 +101,14 @@ def test_scalar_call_equals_array_element_bit_for_bit(fn):
     u = np.concatenate([[0.0, np.nextafter(0.75, 0.0), 0.75],
                         np.logspace(-25.0, math.log10(60.0), 10001)])
     arr = fn(u)
-    got = np.empty_like(u)
-    for i, v in enumerate(u.tolist()):
-        out = fn(v)
-        assert type(out) is float
-        got[i] = out
-    assert got.tobytes() == arr.tobytes()
+    # a Python float, a numpy scalar and a 0-d array
+    for form in (float, np.float64, np.array):
+        got = np.empty_like(u)
+        for i, v in enumerate(u.tolist()):
+            out = fn(form(v))
+            assert type(out) is float
+            got[i] = out
+        assert got.tobytes() == arr.tobytes()
 
 
 def test_kernels_continuous_at_switch():
