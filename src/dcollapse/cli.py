@@ -14,12 +14,7 @@ Subcommands:
     density     closed-form master densities at the final time by four
                 routes (exact / expansion / smoothed / free); master and
                 density need a Gaussian initial state
-    verify      internal consistency battery (exit code 2 on failure); the
-                width check's RK4 reference runs in one worker process
-                beside the ensemble check, with the same report and exit
-                codes as in one process.  A forked worker starts at once;
-                under a spawn start method it imports dcollapse first and
-                the overlap saves less
+    verify      internal consistency battery (exit code 2 on failure)
 
 Common flags: --config PATH (flat key=value or JSON experiment file),
 --seed N (overrides the master seed), --out DIR, --units si|natural,
@@ -300,19 +295,33 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _width_residual(a0, t_grid, p) -> float:
-    """The largest relative gap between the RK4-integrated width flow and
-    a_closed_form; verify runs it in a worker process."""
-    rk = ge.integrate_a_ode(a0, t_grid, p, substeps=8)
-    closed = ge.a_closed_form(a0[None, :], t_grid[:, None], p)
-    return float(np.max(np.abs(rk - closed) / np.abs(closed)))
+def _ode_residual(f, terms, t, y0) -> float:
+    """How far the closed form f is from the solution of dy/dt =
+    sum(terms(y)), y(0) = y0, on the time grid t (t[0] = 0, time on axis 0
+    of f(t)).  A function that meets its start and its ODE at every point
+    is the solution, so no integrator is needed.
+
+    Returns the larger of two relative gaps.  One is the fourth-order
+    central difference of f at step h = 1e-3 t[-1] / len(t), on the grid
+    points t >= 2h, against the right-hand side, relative to the summed
+    sizes of the terms.  The other is f(0) against y0, relative to the
+    largest |f| on the grid.
+    """
+    h = 1e-3 * t[-1] / len(t)
+    t = t[t >= 2.0 * h]
+    slope = (f(t - 2.0 * h) - 8.0 * f(t - h) + 8.0 * f(t + h)
+             - f(t + 2.0 * h)) / (12.0 * h)
+    y = f(t)
+    parts = terms(y)
+    ode = np.abs(slope - sum(parts)) / sum(np.abs(x) for x in parts)
+    start = np.abs(f(np.zeros(1)) - y0) / np.max(np.abs(y), axis=0)
+    return float(max(np.max(ode), np.max(start)))
 
 
-def _verify_checks(cfg, pool) -> dict:
-    """Run verify's checks in report order; the width check's RK4 reference,
-    bound by Python call overhead, runs in pool beside the numpy-bound
-    ensemble check."""
+def _verify_checks(cfg) -> dict:
+    """Run verify's checks in report order."""
     p = cfg.params()
+    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     d = derive_constants(p, boltzmann=1.0)
     rng = np.random.default_rng(cfg.master_seed)
     checks = {}
@@ -336,8 +345,14 @@ def _verify_checks(cfg, pool) -> dict:
     a0 = (d.a_inf * rng.uniform(0.3, 3.0, size=32)
           + 1j * np.abs(d.a_inf) * rng.uniform(-0.5, 0.5, size=32))
     a0 = np.where(a0.real > 0, a0, a0 - 2 * a0.real)
-    width = pool.submit(_width_residual, a0, t_grid, p)
-    checks["width_closed_form"] = {"tol": 1e-8}
+    # the Riccati flow: free spreading, damping, collapse
+    checks["width_closed_form"] = {
+        "max_residual": _ode_residual(
+            lambda t: ge.a_closed_form(a0, t[:, None], p),
+            lambda a: (-(2j * hb / m) * a * a, -4.0 * lam * al * a, lam),
+            t_grid, a0),
+        "tol": 1e-8,
+    }
 
     worst = 0.0
     for _ in range(32):
@@ -351,15 +366,28 @@ def _verify_checks(cfg, pool) -> dict:
             worst = max(worst, abs(va - vb) / scale)
     checks["coefficient_routes"] = {"max_residual": float(worst), "tol": 1e-10}
 
-    t_cov = np.linspace(0, 5.0, 200)
-    cov_rk = ge.integrate_covariance(t_cov, p, substeps=4)
-    cov_cf = ge.stationary_covariance(t_cov[-1], p)
-    rel = float(max(
-        abs(cov_rk.qq[-1] - cov_cf.qq) / abs(cov_cf.qq),
-        abs(cov_rk.qp[-1] - cov_cf.qp) / abs(cov_cf.qp),
-        abs(cov_rk.pp[-1] - cov_cf.pp) / abs(cov_cf.pp),
-    ))
-    checks["stationary_covariance"] = {"max_residual": rel, "tol": 1e-6}
+    # the centre covariances (qq, qp, pp) of a trajectory at a_inf, as in
+    # stationary_covariance's docstring; the terms are transport, damping
+    # and noise, with one column per equation
+    s, c = 0.5 / d.a_inf.real - al, -d.a_inf.imag / d.a_inf.real
+
+    def covariances(t):
+        cov = ge.stationary_covariance(t, p)
+        return np.column_stack([cov.qq, cov.qp, cov.pp])
+
+    def covariance_terms(y):
+        _, qp, pp = y.T
+        zero = np.zeros_like(qp)
+        return (np.column_stack([2.0 * qp / m, pp / m, zero]),
+                np.column_stack([zero, -2.0 * lam * al * qp,
+                                 -4.0 * lam * al * pp]),
+                lam * np.array([s * s, hb * c * s, hb * hb * c * c]))
+
+    checks["stationary_covariance"] = {
+        "max_residual": _ode_residual(covariances, covariance_terms,
+                                      np.linspace(0, 5.0, 200), 0.0),
+        "tol": 1e-6,
+    }
 
     gap = 0.0
     nucleon = scale_parameters(NUCLEON_MASS)
@@ -407,8 +435,6 @@ def _verify_checks(cfg, pool) -> dict:
         "l1_density": comp.l1_density,
         "l1_tol": 0.1,
     }
-    # re-raises an error the worker raised
-    checks["width_closed_form"]["max_residual"] = width.result()
     return checks
 
 
@@ -418,11 +444,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs collapse_rate > 0: its checks follow "
                          "the relaxation to the stationary width, and "
                          "collapse_rate = 0 has none")
-    # imported here: the pool costs every other command start-up time
-    from concurrent.futures import ProcessPoolExecutor
-    # leaving the block joins the worker on every path
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        checks = _verify_checks(cfg, pool)
+    checks = _verify_checks(cfg)
 
     all_ok = True
     for name, c in checks.items():

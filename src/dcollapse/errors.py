@@ -2,7 +2,8 @@
 
 
 class InstabilityError(RuntimeError):
-    """A time step produced growth incompatible with the trusted step size."""
+    """A run has nothing left to report: run_ensemble raises it when every
+    trajectory aborted."""
 
 
 __all__ = ["InstabilityError"]

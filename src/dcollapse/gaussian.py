@@ -25,9 +25,9 @@ initial condition converges to it at the complex rate omega1 + i omega2.
 
 Centre-of-packet statistics over the ensemble of noise realizations obey
 linear ODEs with a-dependent coefficients.  For a trajectory sitting at
-a_inf, integrate_covariance solves them by Runge-Kutta and
-stationary_covariance gives the closed form, organised so that every term
-is a non-negative product of the cancellation-safe kernels in `numerics`.
+a_inf, stationary_covariance solves them in closed form, organised so that
+every term is a non-negative product of the cancellation-safe kernels in
+`numerics`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import InstabilityError
 from .model import ModelParams, derive_constants
 
 _SQRT2 = math.sqrt(2.0)
@@ -111,32 +110,6 @@ def _free_width(a0, t, m, hb):
     return a0 / (1.0 + 2j * hb * a0 * t / m)
 
 
-def integrate_a_ode(a0, t_grid, p: ModelParams, substeps: int = 1):
-    """Runge-Kutta integration of the width Riccati flow along t_grid.
-
-    Vectorizes over array a0.  An interval on which |a| more than doubles
-    while sitting far above every physical scale aborts with
-    InstabilityError; refine the grid in that case.
-    """
-    a0 = np.asarray(a0, dtype=complex)
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    d = derive_constants(p, boltzmann=1.0)
-    scale = max(float(np.max(np.abs(a0))), abs(d.a_inf), 1e-300)
-
-    def rhs(_t, a):
-        return -(2j * hb / m) * a * a - 4.0 * lam * al * a + lam
-
-    # a blow-up runs on to inf and nan; the guard below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = numerics.rk4_path(rhs, a0, t_grid, substeps=substeps)
-    size = np.abs(path)
-    if np.any((size[1:] > 2.0 * size[:-1]) & (size[1:] > 10.0 * scale)):
-        raise InstabilityError(
-            "width parameter doubled in one step; refine the time grid"
-        )
-    return path
-
-
 def spreads(a, p: ModelParams):
     """Position/momentum spreads and correlation of a Gaussian with width a.
 
@@ -165,38 +138,15 @@ def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
                          kbar=g.kbar)
 
 
-def integrate_covariance(t_grid, p: ModelParams,
-                         substeps: int = 4) -> CovarianceMatrix:
-    """Runge-Kutta solution of the centre-covariance ODE system for a
-    trajectory at a = a_inf, started at zero covariance.
+def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
+    """Closed-form centre covariances for a trajectory with a = a_inf,
+    the solution, from zero covariance, of
 
         d Cqq = 2 Cqp / m + lam s(a)^2
         d Cqp = Cpp / m - 2 lam alpha Cqp + lam hbar c(a) s(a)
         d Cpp = -4 lam alpha Cpp + lam hbar^2 c(a)^2
 
-    with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a: the reference
-    for the closed form of stationary_covariance, which returns the same
-    CovarianceMatrix of arrays over t_grid.
-    """
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    a = complex(derive_constants(p, boltzmann=1.0).a_inf)
-    s = 0.5 / a.real - al
-    c = -a.imag / a.real
-
-    def rhs(_t, y):
-        qq, qp, pp = y
-        return np.array([
-            2.0 * qp / m + lam * s * s,
-            pp / m - 2.0 * lam * al * qp + lam * hb * c * s,
-            -4.0 * lam * al * pp + lam * hb * hb * c * c,
-        ])
-
-    path = numerics.rk4_path(rhs, np.zeros(3), t_grid, substeps=substeps)
-    return CovarianceMatrix(qq=path[:, 0], qp=path[:, 1], pp=path[:, 2])
-
-
-def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
-    """Closed-form centre covariances for a trajectory with a = a_inf.
+    with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a.
 
     Vectorizes over t.  Organised as sums of non-negative kernel terms, so the
     result keeps full relative precision even in SI units where the damping
@@ -235,6 +185,5 @@ def _scalarize(cm: CovarianceMatrix) -> CovarianceMatrix:
 
 __all__ = [
     "GaussianState", "SpreadTriple", "CovarianceMatrix",
-    "a_closed_form", "integrate_a_ode", "spreads", "free_evolve",
-    "integrate_covariance", "stationary_covariance",
+    "a_closed_form", "spreads", "free_evolve", "stationary_covariance",
 ]

@@ -1,4 +1,4 @@
-"""Cancellation-safe kernels and small integration helpers.
+"""Cancellation-safe kernels.
 
 The closed-form covariance and characteristic-coefficient results all involve
 the dimensionless damping time u = 2*lam*alpha*t through the combinations
@@ -129,29 +129,4 @@ def k3(u):
     return _eval_kernel(u, _K3_COEFFS, 3, direct)
 
 
-def rk4_path(f, y0, t_grid, substeps=1):
-    """Classical Runge-Kutta along t_grid, vectorized over the state shape.
-
-    f(t, y) must accept and return arrays shaped like y0.  Returns an array of
-    shape (len(t_grid),) + y0.shape containing the solution at every grid
-    point, starting with y0 itself.
-    """
-    y = np.array(y0, copy=True)
-    out = np.empty((len(t_grid),) + y.shape, dtype=y.dtype)
-    out[0] = y
-    for i in range(len(t_grid) - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        h = (t1 - t0) / substeps
-        t = t0
-        for _ in range(substeps):
-            s1 = f(t, y)
-            s2 = f(t + 0.5 * h, y + 0.5 * h * s1)
-            s3 = f(t + 0.5 * h, y + 0.5 * h * s2)
-            s4 = f(t + h, y + h * s3)
-            y = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            t += h
-        out[i + 1] = y
-    return out
-
-
-__all__ = ["one_minus_exp", "f2", "k1", "k2", "k3", "rk4_path"]
+__all__ = ["one_minus_exp", "f2", "k1", "k2", "k3"]

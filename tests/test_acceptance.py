@@ -24,9 +24,9 @@ from dcollapse.ensemble import (ExperimentConfig, branch_outcomes,
                                 run_ensemble)
 from dcollapse.gaussian import GaussianState
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
-from dcollapse.numerics import rk4_path
 
 import reference_closed_forms as rcf
+from reference_ode import riccati_rhs, rk4_path
 
 
 def as_vec(c):
@@ -77,7 +77,7 @@ class TestWidthFlow:
         a0 = random_widths(100, d_nat, rng)
         t_grid = np.linspace(0.0, 10.0 / d_nat.omega1, 81)
         t0 = time.perf_counter()
-        rk = ge.integrate_a_ode(a0, t_grid, p_nat, substeps=40)
+        rk = rk4_path(riccati_rhs(p_nat), a0, t_grid, substeps=40)
         closed = ge.a_closed_form(a0[None, :], t_grid[:, None], p_nat)
         rel = float(np.max(np.abs(rk - closed) / np.abs(closed)))
         elapsed = time.perf_counter() - t0

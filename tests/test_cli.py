@@ -14,7 +14,6 @@ from dcollapse import cli
 from dcollapse import localization as loc
 from dcollapse.constants import NUCLEON_MASS
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
-from dcollapse.errors import InstabilityError
 from dcollapse.grid import RECORD_FIELDS
 from dcollapse.model import derive_constants, scale_parameters
 
@@ -676,34 +675,68 @@ class TestVerify:
         assert checks["energy_relaxation"]["max_residual"] > 1e-7
         assert "FAIL  energy_relaxation" in capsys.readouterr().out
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only a forked worker shares patched modules")
-    def test_width_worker_sees_the_parents_modules(self, tmp_path, capsys,
-                                                   monkeypatch):
-        # the width check runs in a forked worker, which inherits a change
-        # to the closed form made in the parent
-        exact = cli.ge.a_closed_form
-        monkeypatch.setattr(cli.ge, "a_closed_form",
-                            lambda a0, t, p: exact(a0, t, p) * (1.0 + 1e-6))
+    def _fails_only(self, name, tmp_path, capsys):
         rc = cli.main(["verify", "--out", str(tmp_path)])
         assert rc == 2
         out = capsys.readouterr().out
-        assert "FAIL  width_closed_form" in out
+        assert f"FAIL  {name}" in out
+        assert out.count("FAIL") == 1
         assert out.count("PASS") == 7
+        with open(tmp_path / "verify.json") as f:
+            check = json.load(f)["checks"][name]
+        assert check["tol"] < check["max_residual"]
 
-    def test_width_worker_error_exits_1(self, tmp_path, capsys, monkeypatch):
-        def unstable(*args, **kwargs):
-            raise InstabilityError("RK4 width flow diverged")
+    def test_scaled_width_fails_only_its_check(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the width flow off by ten times its tolerance
+        exact = cli.ge.a_closed_form
+        monkeypatch.setattr(cli.ge, "a_closed_form",
+                            lambda a0, t, p: exact(a0, t, p) * (1.0 + 1e-7))
+        self._fails_only("width_closed_form", tmp_path, capsys)
 
-        monkeypatch.setattr(cli.ge, "integrate_a_ode", unstable)
+    def test_scaled_covariance_fails_only_its_check(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the covariances off by ten times their tolerance
+        exact = cli.ge.stationary_covariance
+
+        def scaled(t, p):
+            cov = exact(t, p)
+            k = 1.0 + 1e-5
+            return cli.ge.CovarianceMatrix(cov.qq * k, cov.qp * k, cov.pp * k)
+
+        monkeypatch.setattr(cli.ge, "stationary_covariance", scaled)
+        self._fails_only("stationary_covariance", tmp_path, capsys)
+
+    def test_riccati_constant_defect_fails_the_width_check(
+            self, tmp_path, capsys, monkeypatch):
+        # a wrong B keeps a(0) = a0 exactly and the flow still relaxes, to
+        # the fixed point of another Riccati equation: only the ODE
+        # residual can see it
+        exact = cli.ge._riccati_constants
+
+        def defect(p):
+            A, B = exact(p)
+            return A, B * (1.0 + 1e-7)
+
+        monkeypatch.setattr(cli.ge, "_riccati_constants", defect)
+        self._fails_only("width_closed_form", tmp_path, capsys)
+
+    def test_runs_in_one_process(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("verify started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         rc = cli.main(["verify", "--out", str(tmp_path)])
-        assert rc == 1
-        assert "run error: RK4 width flow diverged" in capsys.readouterr().err
-        assert not (tmp_path / "verify.json").exists()
+        assert rc == 0
+        assert capsys.readouterr().out.count("PASS") == 8
         assert multiprocessing.active_children() == []
 
     def test_two_worker_ensemble(self, tmp_path, capsys):
-        # the ensemble's pool forks while the width worker runs
+        # the ensemble check runs on a two-worker pool, joined before the
+        # report is written
         path = str(tmp_path / "exp.cfg")
         write_config(ExperimentConfig(n_workers=2), path)
         rc = cli.main(["verify", "--config", path, "--out", str(tmp_path)])

