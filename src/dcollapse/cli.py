@@ -37,8 +37,8 @@ from . import gaussian as ge
 from . import localization as loc
 from . import master as me
 from .constants import BOLTZMANN, NUCLEON_MASS
-from .ensemble import (ExperimentConfig, branch_outcomes, compare_to_master,
-                       run_ensemble)
+from .ensemble import (ExperimentConfig, _abort_reason, branch_outcomes,
+                       compare_to_master, run_ensemble)
 from .errors import InstabilityError
 from .grid import RECORD_FIELDS, NoiseStream, evolve_batch, record_steps
 from .model import derive_constants, scale_parameters
@@ -162,7 +162,8 @@ def cmd_trajectory(args) -> int:
                         list(RECORD_FIELDS), records[:, 0, :])
     print(f"trajectory records written to {path}")
     if aborted[0]:
-        print("trajectory aborted a validity check", file=sys.stderr)
+        print("trajectory aborted a validity check"
+              f"{_abort_reason(cfg)}", file=sys.stderr)
         return 1
     return 0
 

@@ -350,24 +350,8 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
 
     grid = cfg.grid()
     if aborted.all():
-        # a start that fails at t = 0 (a run of no steps) needs a new grid:
-        # a finer one when its packets are narrower than dx, else a wider box
-        p = cfg.params()
-        sigma_q = spreads(cfg.initial_gaussian().a, p).sigma_q
-        if not evolve_batch(cfg.initial_psi(grid), grid, p, cfg.dt, 0,
-                            np.empty((1, 0)), equation=cfg.equation)[3][0]:
-            why = (" (norm loss or growth, aliasing, or leakage at the box "
-                   "edge); try a smaller dt or a wider box (x_min, x_max)")
-        elif sigma_q < grid.dx:
-            why = (": the initial state already fails at t = 0, because its "
-                   f"packet width sigma_q = {sigma_q:.3g} is below the grid "
-                   f"spacing dx = {grid.dx:.3g}; raise n_points or narrow "
-                   "the box (x_min, x_max)")
-        else:
-            why = (": the initial state already fails the box-edge leak or "
-                   "aliasing check at t = 0; widen the box (x_min, x_max) "
-                   "or move the packets inward")
-        raise InstabilityError(f"all {aborted.size} trajectories aborted{why}")
+        raise InstabilityError(f"all {aborted.size} trajectories "
+                               f"aborted{_abort_reason(cfg)}")
     ok = ~aborted
     nv = int(ok.sum())
     density = density_sum / nv
@@ -396,6 +380,25 @@ def run_ensemble(cfg: ExperimentConfig, return_records: bool = False):
     if return_records:
         return summary, records, aborted
     return summary
+
+
+def _abort_reason(cfg: ExperimentConfig) -> str:
+    """Why a trajectory of cfg aborted, as the tail of a message: a start
+    that fails at t = 0 needs a finer grid or a wider box."""
+    grid, p = cfg.grid(), cfg.params()
+    if not evolve_batch(cfg.initial_psi(grid), grid, p, cfg.dt, 0,
+                        np.empty((1, 0)), equation=cfg.equation)[3][0]:
+        return (" (norm loss or growth, aliasing, or leakage at the box "
+                "edge); try a smaller dt or a wider box (x_min, x_max)")
+    sigma_q = spreads(cfg.initial_gaussian().a, p).sigma_q
+    if sigma_q < grid.dx:
+        return (": the initial state already fails at t = 0, because its "
+                f"packet width sigma_q = {sigma_q:.3g} is below the grid "
+                f"spacing dx = {grid.dx:.3g}; raise n_points or narrow "
+                "the box (x_min, x_max)")
+    return (": the initial state already fails the box-edge leak or "
+            "aliasing check at t = 0; widen the box (x_min, x_max) or move "
+            "the packets inward")
 
 
 def _results(finished):

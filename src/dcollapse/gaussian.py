@@ -106,7 +106,7 @@ def a_closed_form(a0, t, p: ModelParams):
 
 
 def _free_width(a0, t, m, hb):
-    """Free-spreading width law on numpy operands a0 (complex) and t."""
+    """Free-spreading width law on numpy arrays or scalars a0 and t."""
     return a0 / (1.0 + 2j * hb * a0 * t / m)
 
 
@@ -128,14 +128,6 @@ def spreads(a, p: ModelParams):
     if a.ndim == 0:
         return SpreadTriple(float(sq), float(sp), float(sqp))
     return SpreadTriple(sq, sp, sqp)
-
-
-def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
-    """Collapse-free (unitary) evolution of a Gaussian state for time t."""
-    a_t = complex(_free_width(np.asarray(g.a, dtype=complex),
-                              np.asarray(t, dtype=float), p.mass, p.hbar))
-    return GaussianState(a=a_t, xbar=g.xbar + p.hbar * g.kbar * t / p.mass,
-                         kbar=g.kbar)
 
 
 def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
@@ -185,5 +177,5 @@ def _scalarize(cm: CovarianceMatrix) -> CovarianceMatrix:
 
 __all__ = [
     "GaussianState", "SpreadTriple", "CovarianceMatrix",
-    "a_closed_form", "spreads", "free_evolve", "stationary_covariance",
+    "a_closed_form", "spreads", "stationary_covariance",
 ]

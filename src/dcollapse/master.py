@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .gaussian import GaussianState, free_evolve
+from .gaussian import GaussianState, _free_width
 from .model import ModelParams
 
 
@@ -234,7 +234,8 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
         p_t(x) = (1/2 pi hbar) int dk dy e^{-iky/hbar} e^{-b k^2}
                  psi_S(x + y + s k) conj(psi_S(x + y - s k)),
 
-    with psi_S = free_evolve(g0, t) and a route-specific pair (b, s):
+    with psi_S the free evolution of g0, of width a0 / (1 + 2 i hbar a0 t / m)
+    and centre xbar + hbar kbar t / m, and a route-specific pair (b, s):
 
       'exact'     b = lam alpha^2 t / (2 hbar^2)
                       - k1(u) / (32 m^2 lam^2 alpha^3),
@@ -275,25 +276,24 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
         b = 1.0 / (4.0 * beta * hb * hb)
     elif method not in ("exact", "free"):
         raise ValueError(f"unknown density method: {method}")
-    gs = free_evolve(g0, t, p)
-    a_s = complex(gs.a)
+    # on numpy scalars, which round as numpy's arrays do
+    a_s = complex(_free_width(np.complex128(g0.a), np.float64(t), m, hb))
     ar, ai = a_s.real, a_s.imag
-    mean = gs.xbar - 2.0 * hb * gs.kbar * s
+    if not ar > 0.0:
+        raise ValueError("Re a must be positive for a normalizable state")
+    mean = g0.xbar + hb * g0.kbar * t / m - 2.0 * hb * g0.kbar * s
     var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
         + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
-    # exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var), operation by
-    # operation in one buffer
+    # exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var) in one buffer
     dens = np.subtract(x, mean)
     np.square(dens, out=dens)
-    np.multiply(dens, -0.5, out=dens)
-    np.divide(dens, var, out=dens)
+    np.divide(dens, -2.0 * var, out=dens)
     np.exp(dens, out=dens)
     np.divide(dens, math.sqrt(2.0 * math.pi * var), out=dens)
-    # np.trapezoid's formula and bits, np.diff's included, in place
+    # np.trapezoid's bits; -2 var and the / 2 scale exactly without underflow
     w = np.subtract(x[1:], x[:-1])
     np.multiply(w, np.add(dens[1:], dens[:-1]), out=w)
-    np.divide(w, 2.0, out=w)
-    return DensityProfile(density=dens, norm=float(np.add.reduce(w)),
+    return DensityProfile(density=dens, norm=float(np.add.reduce(w)) / 2.0,
                           beta=beta)
 
 

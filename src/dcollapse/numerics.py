@@ -25,6 +25,9 @@ numpy's ufuncs called on the float, because libm's pow and exp (Python's
 ** and math.exp) round differently from numpy's on a few percent of
 arguments.  So a scalar call returns a float equal, bit for bit, to the
 same element of an array call.
+Horner runs the whole table: a cut after term K keeps the bits only where
+the terms above K cannot move the running sum at c_K by a quarter ulp, and
+for every table that fails above u ~ 1e-15, far below the callers' u.
 
 Signs for u >= 0: gamma, f2 >= 0; k1, k2, k3 <= 0.
 """

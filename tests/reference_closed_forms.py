@@ -17,9 +17,14 @@ here are kept only as oracles:
 - `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
+- `free_evolve` is the collapse-free evolution of a Gaussian state, its
+  width law evaluated on 0-d arrays.  `master.position_density` evaluates
+  the width on numpy scalars instead, and must match it bit for bit.
 - `normal_density` is that normal density and its trapezoid norm written
-  as array expressions.  `master.position_density` evaluates the same
-  operations in the same order in place, and must match it bit for bit.
+  as array expressions.  `master.position_density` evaluates them in place
+  in one buffer and folds two exact power-of-two scalings: the -0.5 into
+  the division by var, and the trapezoid's halving into one division of
+  the sum.  It must still match this form bit for bit.
 """
 
 import math
@@ -72,6 +77,15 @@ def wavefunction(g: GaussianState, x):
     norm = (2.0 * ar / math.pi) ** 0.25
     dx = x - g.xbar
     return norm * np.exp(-g.a * dx * dx + 1j * g.kbar * dx)
+
+
+def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
+    """Collapse-free (unitary) evolution of a Gaussian state for time t."""
+    a0 = np.asarray(g.a, dtype=complex)
+    t_arr = np.asarray(t, dtype=float)
+    a_t = complex(a0 / (1.0 + 2j * p.hbar * a0 * t_arr / p.mass))
+    return GaussianState(a=a_t, xbar=g.xbar + p.hbar * g.kbar * t / p.mass,
+                         kbar=g.kbar)
 
 
 def normal_density(x, mean: float, var: float):

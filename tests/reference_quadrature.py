@@ -14,10 +14,10 @@ import numpy as np
 from scipy.integrate import simpson
 
 from dcollapse import numerics
-from dcollapse.gaussian import GaussianState, free_evolve, spreads
+from dcollapse.gaussian import GaussianState, spreads
 from dcollapse.model import ModelParams
 
-from reference_closed_forms import wavefunction
+from reference_closed_forms import free_evolve, wavefunction
 
 
 class QuadratureLimitError(RuntimeError):

@@ -282,6 +282,19 @@ class TestTrajectory:
         assert rc == 1
         assert "aborted" in capsys.readouterr().err
 
+    def test_unresolved_si_trajectory_says_why(self, tmp_path, capsys):
+        # the default 1 kg packet is narrower than the grid spacing: the
+        # records are still written, and the error names both widths
+        rc = cli.main(["trajectory", "--units", "si", "--out",
+                       str(tmp_path)])
+        assert rc == 1
+        assert (tmp_path / "trajectory.csv").exists()
+        assert ("trajectory aborted a validity check: the initial state "
+                "already fails at t = 0, because its packet width sigma_q = "
+                "1.45e-15 is below the grid spacing dx = 0.125; raise "
+                "n_points or narrow the box (x_min, x_max)"
+                ) in capsys.readouterr().err
+
 
 class TestEnsemble:
     def test_csv_outputs_and_determinism(self, tmp_path):

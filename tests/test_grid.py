@@ -155,7 +155,7 @@ class TestFreeEvolution:
             psi0, grid, FREE, T / n_steps, n_steps,
             np.zeros((1, n_steps)), equation="linear", record_every=5)
         assert not aborted[0]
-        want = rcf.wavefunction(ge.free_evolve(g0, T, FREE), grid.x)
+        want = rcf.wavefunction(rcf.free_evolve(g0, T, FREE), grid.x)
         ov = np.vdot(want, psi[0]) * grid.dx
         assert abs(ov) == pytest.approx(1.0, abs=1e-10)
         phase = ov / abs(ov)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.gaussian import GaussianState, free_evolve, spreads
+from dcollapse.gaussian import GaussianState, spreads
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 from dcollapse import master as ms
 
@@ -62,6 +63,39 @@ def g_si(p_si):
     # 0.1 micron wide packet, slightly squeezed, gently moving
     ar = 0.25 / (1e-7) ** 2
     return GaussianState(a=ar + 0.3j * ar, xbar=1e-9, kbar=1e7)
+
+
+def _natural_draw(rng, i):
+    """Couplings, start and time in natural units, and points on
+    [-20, 20] whatever the route."""
+    lam = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-3.0, 0.5)
+    al = 0.0 if i % 10 == 1 else 10.0 ** rng.uniform(-3.0, 0.5)
+    t = 0.0 if i % 10 == 2 else 10.0 ** rng.uniform(-3.0, 1.0)
+    p = ModelParams(mass=10.0 ** rng.uniform(-1.0, 1.0), collapse_rate=lam,
+                    momentum_coupling=al, hbar=10.0 ** rng.uniform(-0.5, 0.5))
+    g0 = GaussianState(a=complex(10.0 ** rng.uniform(-1.0, 1.0),
+                                 rng.uniform(-1.0, 1.0)),
+                       xbar=rng.uniform(-3.0, 3.0), kbar=rng.uniform(-2.0, 2.0))
+    x = np.sort(rng.uniform(-20.0, 20.0, int(rng.integers(0, 200))))
+    return p, g0, t, lambda mean, var: x
+
+
+def _si_draw(rng, i):
+    """SI couplings of a random mass, a packet 1e-12 to 1e-6 m wide, a
+    laboratory time, and points within 12 standard deviations of each
+    route's mean."""
+    p = scale_parameters(10.0 ** rng.uniform(-27.0, 0.0))
+    if i % 10 == 0:
+        p = dataclasses.replace(p, collapse_rate=0.0)
+    elif i % 10 == 1:
+        p = dataclasses.replace(p, momentum_coupling=0.0)
+    t = 0.0 if i % 10 == 2 else 10.0 ** rng.uniform(-20.0, 3.0)
+    ar = 0.25 / (10.0 ** rng.uniform(-12.0, -6.0)) ** 2
+    g0 = GaussianState(a=complex(ar, ar * rng.uniform(-1.0, 1.0)),
+                       xbar=rng.uniform(-1e-6, 1e-6),
+                       kbar=rng.uniform(-1e7, 1e7))
+    z = np.sort(rng.uniform(-12.0, 12.0, int(rng.integers(0, 200))))
+    return p, g0, t, lambda mean, var: mean + math.sqrt(var) * z
 
 
 class TestCoefficients:
@@ -353,7 +387,7 @@ class TestPositionDensity:
         # widened by half the inverse smoothing parameter
         t = 0.5
         beta = ms.beta_t(t, p_nat)
-        gs = free_evolve(g0, t, p_nat)
+        gs = rcf.free_evolve(g0, t, p_nat)
         var_tot = spreads(gs.a, p_nat).sigma_q ** 2 + 0.5 / beta
         sd = math.sqrt(var_tot)
         x = np.linspace(gs.xbar - 6 * sd, gs.xbar + 6 * sd, 121)
@@ -365,7 +399,7 @@ class TestPositionDensity:
 
     def test_smoothed_approximates_exact(self, g0, p_nat):
         t = 0.5
-        gs = free_evolve(g0, t, p_nat)
+        gs = rcf.free_evolve(g0, t, p_nat)
         sd = spreads(gs.a, p_nat).sigma_q
         x = np.linspace(gs.xbar - 6 * sd, gs.xbar + 6 * sd, 61)
         pe = ms.position_density(g0, t, p_nat, x, method="exact")
@@ -375,7 +409,7 @@ class TestPositionDensity:
 
     def test_free_method_returns_unitary_density(self, g0, p_nat):
         t = 0.7
-        gs = free_evolve(g0, t, p_nat)
+        gs = rcf.free_evolve(g0, t, p_nat)
         sd = spreads(gs.a, p_nat).sigma_q
         x = np.linspace(gs.xbar - 5 * sd, gs.xbar + 5 * sd, 81)
         prof = ms.position_density(g0, t, p_nat, x, method="free")
@@ -400,25 +434,21 @@ class TestPositionDensity:
         want = float(np.trapezoid(prof.density, x))
         assert np.float64(prof.norm).tobytes() == np.float64(want).tobytes()
 
-    def test_routes_equal_the_expression_form_bit_for_bit(self):
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_routes_equal_the_expression_form_bit_for_bit(self, units):
         # random couplings, times, states and points, with lam = 0,
         # alpha = 0 and t = 0 among them; (b, s), mean and var as the
-        # position_density docstring writes them
+        # position_density docstring writes them, on the oracle's free
+        # state.  SI draws span 1e-27 to 1 kg at scale_parameters'
+        # couplings and t from 1e-20 to 1e3 s, on points placed across
+        # each route's own window
+        draw = _natural_draw if units == "natural" else _si_draw
         rng = np.random.default_rng(20)
         for i in range(300):
-            lam = 0.0 if i % 10 == 0 else 10.0 ** rng.uniform(-3.0, 0.5)
-            al = 0.0 if i % 10 == 1 else 10.0 ** rng.uniform(-3.0, 0.5)
-            t = 0.0 if i % 10 == 2 else 10.0 ** rng.uniform(-3.0, 1.0)
-            p = ModelParams(mass=10.0 ** rng.uniform(-1.0, 1.0),
-                            collapse_rate=lam, momentum_coupling=al,
-                            hbar=10.0 ** rng.uniform(-0.5, 0.5))
-            g0 = GaussianState(a=complex(10.0 ** rng.uniform(-1.0, 1.0),
-                                         rng.uniform(-1.0, 1.0)),
-                               xbar=rng.uniform(-3.0, 3.0),
-                               kbar=rng.uniform(-2.0, 2.0))
-            x = np.sort(rng.uniform(-20.0, 20.0, int(rng.integers(0, 200))))
-            gs = free_evolve(g0, t, p)
+            p, g0, t, x_of = draw(rng, i)
+            gs = rcf.free_evolve(g0, t, p)
             ar, ai, hb = gs.a.real, gs.a.imag, p.hbar
+            lam = p.collapse_rate
             for method in ("exact", "expansion", "smoothed", "free"):
                 if method == "smoothed":
                     b, s = 1.0 / (4.0 * ms.beta_t(t, p) * hb * hb), 0.0
@@ -429,11 +459,22 @@ class TestPositionDensity:
                 mean = gs.xbar - 2.0 * hb * gs.kbar * s
                 var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
                     + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
+                x = x_of(mean, var)
                 want, norm = rcf.normal_density(x, mean, var)
                 prof = ms.position_density(g0, t, p, x, method=method)
                 assert prof.density.tobytes() == want.tobytes()
                 assert np.float64(prof.norm).tobytes() \
                     == np.float64(norm).tobytes()
+
+    def test_free_width_lost_to_rounding_raises(self):
+        # a 1e-27 kg packet 1 pm wide after 1e3 s: 2 hbar |a0| t / m is
+        # 5.5e19, and Re a_S rounds to -1.5e-13 where its true value is
+        # 8.2e-17
+        g0 = GaussianState(a=complex(2.5e23, 7.5e22))
+        for method in ("exact", "free"):
+            with pytest.raises(ValueError, match="Re a must be positive"):
+                ms.position_density(g0, 1e3, scale_parameters(1e-27),
+                                    np.linspace(-1.0, 1.0, 5), method=method)
 
     def test_unknown_method_raises(self, g0, p_nat):
         with pytest.raises(ValueError):
