@@ -26,8 +26,7 @@ from .gaussian import (GaussianState, SpreadTriple, a_closed_form, spreads,
                        stationary_covariance)
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
-from .master import (CharCoefficients, coeff_flow, evolve_characteristic,
-                     position_density)
+from .master import CharCoefficients, coeff_flow, position_density
 from .localization import drift_prediction, sigma_O_sq, stationarity_residuals
 from .ensemble import (EnsembleSummary, ExperimentConfig, compare_to_master,
                        run_ensemble)
@@ -43,8 +42,7 @@ __all__ = [
     "stationary_covariance",
     "RECORD_FIELDS", "Grid", "NoiseStream", "build_gaussian",
     "build_superposition", "evolve_batch",
-    "CharCoefficients", "coeff_flow", "evolve_characteristic",
-    "position_density",
+    "CharCoefficients", "coeff_flow", "position_density",
     "drift_prediction", "sigma_O_sq", "stationarity_residuals",
     "EnsembleSummary", "ExperimentConfig", "compare_to_master",
     "run_ensemble",

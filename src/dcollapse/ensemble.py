@@ -144,6 +144,10 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be in [0, 2**64), "
                              f"got {self.master_seed}")
+        self.params()  # ModelParams checks the mass, couplings and hbar
+        if self.a0_real is not None and not self.a0_real > 0.0:
+            raise ValueError("a0_real must be positive for a normalizable "
+                             f"start, got {self.a0_real}")
         try:
             dx = self.grid().dx  # Grid checks n_points and the interval
         except ValueError as exc:

@@ -19,11 +19,8 @@ coeff_flow advances the coefficient vector by the closed-form solution of
 
 For general states the same dynamics is carried by a Green identity: the full
 characteristic function is the freely sheared one evaluated at a damped
-argument times an explicit Gaussian weight.  evolve_characteristic pushes a
-coefficient vector through that identity (an arithmetic route independent of
-coeff_flow, used for cross-validation).
-
-position_density turns the identity into the spatial probability density.
+argument times an explicit Gaussian weight.  position_density turns the
+identity into the spatial probability density.
 Integrated over its momentum argument, each of its routes (exact, short-time
 expansion, beta_t smoothing, free) is the freely evolved state smeared by a
 Gaussian weight e^{-b k^2} and a k-proportional split s k of its two
@@ -176,42 +173,6 @@ def coeff_flow(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficient
     )
 
 
-def evolve_characteristic(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficients:
-    """Advance a coefficient vector through the Green identity.
-
-    Composes the free shear with the damped-argument substitution and the
-    quadratic weight, term by term.  Algebraically this equals coeff_flow, but
-    the arithmetic path is different, which makes the agreement of the two a
-    real consistency check.
-    """
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0 or al == 0.0 or t == 0.0:
-        return coeff_flow(c, t, p)
-    c1s = c.c1 + c.c2 * t / m + c.c3 * t * t / (m * m)
-    c2s = c.c2 + 2.0 * c.c3 * t / m
-    c3s = c.c3
-    c4s = c.c4 + c.c5 * t / m
-    c5s = c.c5
-    u = 2.0 * lam * al * t
-    d = math.exp(-u)
-    gam = numerics.one_minus_exp(u)
-    gsh = gam / (2.0 * m * lam * al)
-    ss = -numerics.f2(u) / (2.0 * m * lam * al)
-    q1 = numerics.k1(u)
-    q2 = numerics.k2(u)
-    q3 = numerics.k3(u)
-    denom = 8.0 * al * gam * gam
-    return CharCoefficients(
-        c1=c1s + c2s * ss + c3s * ss * ss
-        + lam * al * al * t / (2.0 * hb * hb) - gsh * gsh * q1 / denom,
-        c2=d * (c2s + 2.0 * c3s * ss) - gsh * (d * q1 + q2) / (0.5 * denom),
-        c3=c3s * d * d - (d * d * q1 + 2.0 * d * q2 + q3) / denom,
-        c4=c4s + c5s * ss,
-        c5=c5s * d,
-        c6=c.c6,
-    )
-
-
 def beta_t(t: float, p: ModelParams) -> float:
     """Width parameter of the Gaussian that the Green weight approaches.
 
@@ -300,6 +261,6 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
 __all__ = [
     "CharCoefficients", "StateMoments", "DensityProfile",
     "coefficients_from_gaussian", "moments_from_coefficients", "purity",
-    "energy_from_coefficients", "mean_energy", "coeff_flow",
-    "evolve_characteristic", "beta_t", "position_density",
+    "energy_from_coefficients", "mean_energy", "coeff_flow", "beta_t",
+    "position_density",
 ]

@@ -81,6 +81,8 @@ class DerivedConstants:
 
 def scale_parameters(mass: float) -> ModelParams:
     """SI couplings for a pointlike object of the given mass."""
+    if not mass > 0.0:  # before the couplings divide by it
+        raise ValueError("mass must be positive")
     ratio = mass / NUCLEON_MASS
     return ModelParams(
         mass=mass,

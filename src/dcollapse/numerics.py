@@ -1,15 +1,14 @@
 """Cancellation-safe kernels.
 
-The closed-form covariance and characteristic-coefficient results all involve
-the dimensionless damping time u = 2*lam*alpha*t through the combinations
+The closed-form covariance, characteristic-coefficient and density results
+all involve the dimensionless damping time u = 2*lam*alpha*t through the
+combinations
 
     gamma(u) = 1 - e^-u
     f2(u)    = u - 1 + e^-u
     k1(u)    = gamma^2 + 2 gamma - 2u
-    k2(u)    = e^-2u + 2u e^-u - 1
-    k3(u)    = -2u e^-2u - gamma^2 + 2 gamma e^-u
 
-For laboratory masses and times u is of order 1e-20, and the last four are
+For laboratory masses and times u is of order 1e-20, and the last two are
 O(u^2) or O(u^3) differences of O(1) terms: direct evaluation returns noise.
 Each kernel therefore switches to its exact Taylor series below a fixed
 threshold.  Series coefficients are generated from integer arithmetic at
@@ -29,7 +28,7 @@ Horner runs the whole table: a cut after term K keeps the bits only where
 the terms above K cannot move the running sum at c_K by a quarter ulp, and
 for every table that fails above u ~ 1e-15, far below the callers' u.
 
-Signs for u >= 0: gamma, f2 >= 0; k1, k2, k3 <= 0.
+Signs for u >= 0: gamma, f2 >= 0; k1 <= 0.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ def _series_coeffs(num_of_n, n_min):
 
 _F2_COEFFS = _series_coeffs(lambda n: (-1) ** n, 2)
 _K1_COEFFS = _series_coeffs(lambda n: (-1) ** (n + 1) * (4 - 2**n), 3)
-_K2_COEFFS = _series_coeffs(lambda n: (-1) ** n * (2**n - 2 * n), 3)
-_K3_COEFFS = _series_coeffs(lambda n: (-1) ** n * (2**n * n + 4 - 3 * 2**n), 3)
 
 
 def _horner(u, coeffs):
@@ -112,24 +109,4 @@ def k1(u):
     return _eval_kernel(u, _K1_COEFFS, 3, direct)
 
 
-def k2(u):
-    """e^-2u + 2u e^-u - 1  (= -(1/3)u^3 + ...), non-positive."""
-
-    def direct(v):
-        return np.exp(-2.0 * v) + 2.0 * v * np.exp(-v) - 1.0
-
-    return _eval_kernel(u, _K2_COEFFS, 3, direct)
-
-
-def k3(u):
-    """-2u e^-2u - gamma^2 + 2 gamma e^-u  (= -(2/3)u^3 + ...), non-positive."""
-
-    def direct(v):
-        g = -np.expm1(-v)
-        d = np.exp(-v)
-        return -2.0 * v * d * d - g * g + 2.0 * g * d
-
-    return _eval_kernel(u, _K3_COEFFS, 3, direct)
-
-
-__all__ = ["one_minus_exp", "f2", "k1", "k2", "k3"]
+__all__ = ["one_minus_exp", "f2", "k1"]

@@ -13,7 +13,11 @@ here are kept only as oracles:
   the fixed point; phi2 only enters through sin/cos and is defined mod 2 pi.
 - `green_factors` is the pointwise Green pullback of the characteristic
   function, which `master.coeff_flow` must reproduce coefficient by
-  coefficient.
+  coefficient.  Its kernels `k2` and `k3`, which `evolve_characteristic`
+  shares, run on the Taylor-series machinery of `numerics`.
+- `evolve_characteristic` pushes a coefficient vector through the Green
+  identity term by term, an arithmetic route to `master.coeff_flow`'s
+  result that the tests compare with it.
 - `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
@@ -35,6 +39,7 @@ import numpy as np
 from dcollapse import numerics
 from dcollapse.gaussian import (GaussianState, _riccati_constants,
                                 a_closed_form)
+from dcollapse.master import CharCoefficients, coeff_flow
 from dcollapse.model import DerivedConstants, ModelParams, derive_constants
 
 _SQRT2 = math.sqrt(2.0)
@@ -157,6 +162,31 @@ def sigma_q_of_t(t, pc: PhaseConstants, p: ModelParams,
     return float(out) if out.ndim == 0 else out
 
 
+_K2_COEFFS = numerics._series_coeffs(lambda n: (-1) ** n * (2**n - 2 * n), 3)
+_K3_COEFFS = numerics._series_coeffs(
+    lambda n: (-1) ** n * (2**n * n + 4 - 3 * 2**n), 3)
+
+
+def k2(u):
+    """e^-2u + 2u e^-u - 1  (= -(1/3)u^3 + ...), non-positive."""
+
+    def direct(v):
+        return np.exp(-2.0 * v) + 2.0 * v * np.exp(-v) - 1.0
+
+    return numerics._eval_kernel(u, _K2_COEFFS, 3, direct)
+
+
+def k3(u):
+    """-2u e^-2u - gamma^2 + 2 gamma e^-u  (= -(2/3)u^3 + ...), non-positive."""
+
+    def direct(v):
+        g = -np.expm1(-v)
+        d = np.exp(-v)
+        return -2.0 * v * d * d - g * g + 2.0 * g * d
+
+    return numerics._eval_kernel(u, _K3_COEFFS, 3, direct)
+
+
 @dataclass(frozen=True)
 class GreenFactors:
     """Pullback data: rho~_t(k, x) = exp(log_weight) * rho~_0(k0, x0)."""
@@ -192,8 +222,44 @@ def green_factors(k: float, x: float, t: float, p: ModelParams) -> GreenFactors:
     x0 = x * math.exp(-u) + k * gam / (2.0 * m * lam * al)
     quad = (
         x0 * x0 * float(numerics.k1(u))
-        + 2.0 * x * x0 * float(numerics.k2(u))
-        + x * x * float(numerics.k3(u))
+        + 2.0 * x * x0 * float(k2(u))
+        + x * x * float(k3(u))
     ) / (8.0 * al * gam * gam)
     log_w = -lam * al * al * k * k * t / (2.0 * hb * hb) + quad
     return GreenFactors(k0=k, x0=x0, log_weight=log_w)
+
+
+def evolve_characteristic(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficients:
+    """Advance a coefficient vector through the Green identity.
+
+    Composes the free shear with the damped-argument substitution and the
+    quadratic weight, term by term.  Algebraically this equals coeff_flow, but
+    the arithmetic path is different, which makes the agreement of the two a
+    real consistency check.
+    """
+    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
+    if lam == 0.0 or al == 0.0 or t == 0.0:
+        return coeff_flow(c, t, p)
+    c1s = c.c1 + c.c2 * t / m + c.c3 * t * t / (m * m)
+    c2s = c.c2 + 2.0 * c.c3 * t / m
+    c3s = c.c3
+    c4s = c.c4 + c.c5 * t / m
+    c5s = c.c5
+    u = 2.0 * lam * al * t
+    d = math.exp(-u)
+    gam = numerics.one_minus_exp(u)
+    gsh = gam / (2.0 * m * lam * al)
+    ss = -numerics.f2(u) / (2.0 * m * lam * al)
+    q1 = numerics.k1(u)
+    q2 = k2(u)
+    q3 = k3(u)
+    denom = 8.0 * al * gam * gam
+    return CharCoefficients(
+        c1=c1s + c2s * ss + c3s * ss * ss
+        + lam * al * al * t / (2.0 * hb * hb) - gsh * gsh * q1 / denom,
+        c2=d * (c2s + 2.0 * c3s * ss) - gsh * (d * q1 + q2) / (0.5 * denom),
+        c3=c3s * d * d - (d * d * q1 + 2.0 * d * q2 + q3) / denom,
+        c4=c4s + c5s * ss,
+        c5=c5s * d,
+        c6=c.c6,
+    )

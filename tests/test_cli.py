@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -587,12 +588,19 @@ class TestErrors:
                          "the box (x_min, x_max)"),
         ("initial = superposition\nkbars = 0,-30\n",
          "kbars = -30 is not below the grid's largest wavenumber"),
+        ("mass = -1\n", "mass must be positive"),
+        ("units = si\nmass = 0.0\n", "mass must be positive"),
+        ("hbar = 0.0\n", "hbar must be positive"),
+        ("a0_real = -0.5\n",
+         "a0_real must be positive for a normalizable start, got -0.5"),
     ], ids=["n_points", "interval", "huge-int", "huge-int-in-tuple",
-            "negative-seed", "huge-seed", "aliased-kbar0", "aliased-kbars"])
+            "negative-seed", "huge-seed", "aliased-kbar0", "aliased-kbars",
+            "negative-mass", "zero-si-mass", "zero-hbar",
+            "negative-a0-real"])
     def test_config_refused_when_built_exits_1(self, tmp_path, capsys,
                                                text, message):
-        # the grid and float checks run when the config is built, so a
-        # command that builds no grid refuses the file too
+        # the grid, float and model checks run when the config is built,
+        # so a command that builds no grid refuses the file too
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         rc = cli.main(["constants", "--config", str(path),
@@ -601,6 +609,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unphysical_config_starts_no_worker(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the model's rules run when the config is built, before a
+        # two-worker ensemble would start its pool
+        import concurrent.futures
+        started = []
+
+        def recording_pool(*args, **kwargs):
+            started.append(kwargs)
+            raise AssertionError("the ensemble started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording_pool)
+        path = tmp_path / "bad.cfg"
+        path.write_text("mass = -1\nn_workers = 2\n")
+        rc = cli.main(["ensemble", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: mass must be positive\n")
+        assert started == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "1" + "0" * 30])
@@ -643,7 +674,7 @@ class TestVerify:
         assert report["passed"] is True
         assert set(report["checks"]) == {
             "stationary_identities", "relaxation_weights",
-            "width_closed_form", "coefficient_routes",
+            "width_closed_form", "coefficient_flow",
             "stationary_covariance", "energy_relaxation",
             "localization_drift", "ensemble_vs_master",
         }
@@ -661,6 +692,37 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(
             "error: verify needs collapse_rate > 0")
         assert not (tmp_path / "verify.json").exists()
+
+    def test_si_units_exit_1_before_any_check(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the ensemble check sets its own 128-point grid and start, which
+        # cannot resolve an SI packet; energy_relaxation covers SI units
+        def no_checks(cfg):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(cli, "_verify_checks", no_checks)
+        rc = cli.main(["verify", "--units", "si", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: verify runs in natural units only")
+        assert not (tmp_path / "verify.json").exists()
+
+    def _usual_model(self, tmp_path):
+        """--config arguments for the usual model, alpha = 0."""
+        path = tmp_path / "usual.cfg"
+        path.write_text("momentum_coupling = 0\n")
+        return ["--config", str(path)]
+
+    def test_usual_model_passes(self, tmp_path, capsys):
+        # coeff_flow's undamped branch is held to its ODE too, not to
+        # itself: the coefficient residual is rounding, not 0
+        rc = cli.main(["verify", "--out", str(tmp_path),
+                       *self._usual_model(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("PASS") == 8
+        with open(tmp_path / "verify.json") as f:
+            check = json.load(f)["checks"]["coefficient_flow"]
+        assert 0.0 < check["max_residual"] < check["tol"]
 
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch):
         broken = loc.StationarityResiduals(drift=1.0, mixed=0.0,
@@ -688,8 +750,8 @@ class TestVerify:
         assert checks["energy_relaxation"]["max_residual"] > 1e-7
         assert "FAIL  energy_relaxation" in capsys.readouterr().out
 
-    def _fails_only(self, name, tmp_path, capsys):
-        rc = cli.main(["verify", "--out", str(tmp_path)])
+    def _fails_only(self, name, tmp_path, capsys, *argv):
+        rc = cli.main(["verify", "--out", str(tmp_path), *argv])
         assert rc == 2
         out = capsys.readouterr().out
         assert f"FAIL  {name}" in out
@@ -719,6 +781,37 @@ class TestVerify:
 
         monkeypatch.setattr(cli.ge, "stationary_covariance", scaled)
         self._fails_only("stationary_covariance", tmp_path, capsys)
+
+    def test_undamped_noise_defect_fails_only_the_coefficient_check(
+            self, tmp_path, capsys, monkeypatch):
+        # c1's position-noise term lam t^3 / 6m^2 doubled in the alpha = 0
+        # branch; c1 enters no energy, so only the coefficient check sees it
+        exact = cli.me.coeff_flow
+
+        def defect(c, t, p):
+            out = exact(c, t, p)
+            if p.momentum_coupling != 0.0:
+                return out
+            return dataclasses.replace(
+                out, c1=out.c1 + p.collapse_rate * t**3 / (6.0 * p.mass**2))
+
+        monkeypatch.setattr(cli.me, "coeff_flow", defect)
+        self._fails_only("coefficient_flow", tmp_path, capsys,
+                         *self._usual_model(tmp_path))
+
+    def test_damped_branch_defect_fails_only_the_coefficient_check(
+            self, tmp_path, capsys, monkeypatch):
+        # c1 off by one part in 1e9 per unit time where alpha > 0
+        exact = cli.me.coeff_flow
+
+        def defect(c, t, p):
+            out = exact(c, t, p)
+            if p.momentum_coupling == 0.0:
+                return out
+            return dataclasses.replace(out, c1=out.c1 * (1.0 + 1e-9 * t))
+
+        monkeypatch.setattr(cli.me, "coeff_flow", defect)
+        self._fails_only("coefficient_flow", tmp_path, capsys)
 
     def test_riccati_constant_defect_fails_the_width_check(
             self, tmp_path, capsys, monkeypatch):

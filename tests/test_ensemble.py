@@ -137,9 +137,21 @@ class TestConfig:
          "kbars = -30 is not below"),
         (dict(initial="superposition", kbars=(1.0, 20.0), x_min=-64.0,
               x_max=64.0), r"kbars = 20 is not below .* pi/dx = 6\.283"),
+        # the model's own rules, and a start width that is not normalizable
+        (dict(mass=-1.0), "mass must be positive"),
+        (dict(units="si", mass=0.0), "mass must be positive"),
+        (dict(collapse_rate=-0.1), "collapse_rate must be non-negative"),
+        (dict(momentum_coupling=-0.5),
+         "momentum_coupling must be non-negative"),
+        (dict(hbar=0.0), "hbar must be positive"),
+        (dict(a0_real=-0.5), "a0_real must be positive"),
+        (dict(a0_real=0.0, a0_imag=1.0), "a0_real must be positive"),
     ], ids=["inf", "nan", "no-centre", "negative-weight", "zero-weights",
             "negative-seed", "seed-past-uint64", "kbar0-40", "kbar0-60",
-            "kbar0-at-limit", "kbars-30", "kbars-wide-box"])
+            "kbar0-at-limit", "kbars-30", "kbars-wide-box", "negative-mass",
+            "zero-si-mass", "negative-collapse-rate",
+            "negative-momentum-coupling", "zero-hbar", "negative-a0-real",
+            "zero-a0-real"])
     def test_rejects_values_no_run_can_use(self, bad, name):
         with pytest.raises(ValueError, match=name):
             en.ExperimentConfig(**bad)

@@ -184,11 +184,11 @@ class TestCoeffFlow:
     def test_two_routes_agree(self, c0, p_nat, g_si, p_si):
         for t in (1e-6, 0.05, 0.5, 3.0, 30.0):
             assert reldiff(ms.coeff_flow(c0, t, p_nat),
-                           ms.evolve_characteristic(c0, t, p_nat)) < 1e-12
+                           rcf.evolve_characteristic(c0, t, p_nat)) < 1e-12
         c_si = ms.coefficients_from_gaussian(g_si, p_si)
         for t in (1e-3, 1.0, 100.0, 1e6):
             assert reldiff(ms.coeff_flow(c_si, t, p_si),
-                           ms.evolve_characteristic(c_si, t, p_si)) < 1e-12
+                           rcf.evolve_characteristic(c_si, t, p_si)) < 1e-12
 
     def test_flow_keeps_state_physical(self, c0, p_nat):
         for t in (0.1, 1.0, 10.0, 100.0):

