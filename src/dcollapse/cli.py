@@ -327,7 +327,8 @@ def _ode_residual(f, terms, t, y0) -> float:
     ode = _relative(np.abs(slope - sum(parts)),
                     np.maximum(sum(np.abs(x) for x in parts), y_max / t[-1]))
     start = _relative(np.abs(f(np.zeros(1)) - y0), y_max)
-    return float(max(np.max(ode), np.max(start)))
+    # np.maximum, not max: a NaN in either gap must fail the check
+    return float(np.maximum(np.max(ode), np.max(start)))
 
 
 def _verify_checks(cfg) -> dict:
@@ -454,7 +455,16 @@ def _verify_checks(cfg) -> dict:
     ver_cfg = cfg.replace(n_trajectories=256, n_steps=100, dt=0.01,
                           record_every=20, n_points=128, initial="gaussian",
                           equation="nonlinear", xbar0=1.0)
-    summary, records, aborted = run_ensemble(ver_cfg, return_records=True)
+    try:
+        summary, records, aborted = run_ensemble(ver_cfg, return_records=True)
+    except InstabilityError:
+        # run_ensemble's advice names dt and the grid, which verify fixes
+        raise InstabilityError(
+            f"verify's ensemble check aborted all {ver_cfg.n_trajectories} "
+            f"trajectories at its fixed settings (dt = {ver_cfg.dt}, "
+            f"n_points = {ver_cfg.n_points}, {ver_cfg.n_steps} steps), "
+            "which a config does not change; verify cannot check this "
+            "model") from None
     comp = compare_to_master(ver_cfg, summary, records, aborted)
     checks["ensemble_vs_master"] = {
         "max_residual": comp.max_abs_z,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,21 @@ class StateMoments:
 
 @dataclass(frozen=True)
 class DensityProfile:
+    """Position density on the points x, with the smoothing parameter of
+    the 'smoothed' route.  Its trapezoid norm on x, a self-check, is
+    computed on first read."""
+
     density: np.ndarray
-    norm: float
+    x: np.ndarray
     beta: float | None = None
+
+    @cached_property
+    def norm(self) -> float:
+        # np.trapezoid's bits; the / 2 scales exactly without underflow
+        x, dens = self.x, self.density
+        w = np.subtract(x[1:], x[:-1])
+        np.multiply(w, np.add(dens[1:], dens[:-1]), out=w)
+        return float(np.add.reduce(w)) / 2.0
 
 
 def coefficients_from_gaussian(g: GaussianState, p: ModelParams) -> CharCoefficients:
@@ -215,10 +228,12 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
         var  = 2 hbar^2 (b + 2 ar s^2) + (1 + 4 hbar ai s)^2 / (4 ar),
 
     which at b = s = 0 (also 'exact' at lam = 0 or t = 0) is |psi_S|^2
-    itself.  The profile carries its trapezoid norm on x as a self-check.
+    itself.  The profile's trapezoid norm on x, a self-check, is computed
+    on first read.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    x = np.asarray(x, dtype=float)
+    # a copy, so the norm does not follow a caller's later writes to x
+    x = np.array(x, dtype=float)
     beta = None
     b = s = 0.0
     if method == "exact" and lam != 0.0 and t != 0.0:
@@ -245,17 +260,14 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
     mean = g0.xbar + hb * g0.kbar * t / m - 2.0 * hb * g0.kbar * s
     var = 2.0 * hb * hb * (b + 2.0 * ar * s * s) \
         + (1.0 + 4.0 * hb * ai * s) ** 2 / (4.0 * ar)
-    # exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var) in one buffer
+    # exp(-0.5 (x - mean)^2 / var) / sqrt(2 pi var) in one buffer; -2 var
+    # scales exactly without underflow
     dens = np.subtract(x, mean)
     np.square(dens, out=dens)
     np.divide(dens, -2.0 * var, out=dens)
     np.exp(dens, out=dens)
     np.divide(dens, math.sqrt(2.0 * math.pi * var), out=dens)
-    # np.trapezoid's bits; -2 var and the / 2 scale exactly without underflow
-    w = np.subtract(x[1:], x[:-1])
-    np.multiply(w, np.add(dens[1:], dens[:-1]), out=w)
-    return DensityProfile(density=dens, norm=float(np.add.reduce(w)) / 2.0,
-                          beta=beta)
+    return DensityProfile(density=dens, x=x, beta=beta)
 
 
 __all__ = [

@@ -849,3 +849,35 @@ class TestVerify:
         assert rc == 0
         assert capsys.readouterr().out.count("PASS") == 8
         assert multiprocessing.active_children() == []
+
+    def test_aborted_ensemble_names_its_fixed_settings(self, tmp_path,
+                                                        capsys):
+        # every trajectory of verify's own ensemble aborts on this model;
+        # dt, n_points and the step count are verify's, so the message
+        # names them and gives no advice to change them
+        path = tmp_path / "strong.cfg"
+        path.write_text("collapse_rate = 1\nmomentum_coupling = 2\n")
+        rc = cli.main(["verify", "--config", str(path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run error: verify's ensemble check aborted "
+                              "all 256 trajectories")
+        assert "dt = 0.01, n_points = 128, 100 steps" in err
+        assert "smaller dt" not in err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_ode_residual_fails_on_a_nan_start(self):
+        # f is NaN at t = 0 only and solves y' = 0 elsewhere: the start gap
+        # is NaN, and so must be the residual
+        def f(t):
+            return np.where(t == 0.0, np.nan, 1.0)[:, None]
+
+        def terms(y):
+            return (np.zeros_like(y),)
+
+        t = np.linspace(0.0, 1.0, 5)
+        assert math.isnan(cli._ode_residual(f, terms, t, np.ones(1)))
+        # the same f with a finite start reads 0
+        assert cli._ode_residual(lambda t: np.ones((t.size, 1)), terms, t,
+                                 np.ones(1)) == 0.0

@@ -431,7 +431,19 @@ class TestPositionDensity:
         rng = np.random.default_rng(5)
         x = np.sort(rng.uniform(-12.0, 12.0, 301))
         prof = ms.position_density(g0, 1.3, p_nat, x, method=method)
+        # computed on first read, then kept
+        assert "norm" not in vars(prof)
         want = float(np.trapezoid(prof.density, x))
+        assert np.float64(prof.norm).tobytes() == np.float64(want).tobytes()
+        assert vars(prof)["norm"] is prof.norm
+
+    def test_norm_ignores_later_writes_to_x(self, g0, p_nat):
+        # the profile keeps its own copy of the points
+        x = np.linspace(-10.0, 10.0, 201)
+        want = float(np.trapezoid(
+            ms.position_density(g0, 0.8, p_nat, x).density, x))
+        prof = ms.position_density(g0, 0.8, p_nat, x)
+        x *= 2.0
         assert np.float64(prof.norm).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("units", ["natural", "si"])
