@@ -59,8 +59,9 @@ class GaussianState:
 @dataclass(frozen=True)
 class SpreadTriple:
     """Spreads of a Gaussian state.  sigma_qp_sq is the symmetrized
-    correlation (1/2)<{q,p}> - <q><p>, which can take either sign, so the
-    square is what is stored."""
+    covariance (1/2)<{q,p}> - <q><p> = -hbar Im a / (2 Re a) itself, not a
+    stored square: it is negative when Im a > 0.  The name follows the
+    sigma_qp^2 notation of `localization`."""
 
     sigma_q: float
     sigma_p: float

@@ -15,9 +15,13 @@ the squared norm of (O - <O>) psi.  Its ensemble mean contracts:
         + (hbar^2 / 4 sq~^4)(sigma_q^2 - sq~^2)^2 ]   (evaluated in mean),
 
 so every trajectory is driven toward the stationary width regardless of the
-noise realization.  drift_prediction evaluates the bracket; the w1/w2/w3
-weights are the linearized decay rates of the relative deviations
-X = sigma_q^2/sq~^2 - 1, Y = sigma_p^2/sp~^2 - 1, Z = sigma_qp^2/sqp~^2 - 1.
+noise realization.  drift_prediction evaluates the bracket.
+
+On a single Gaussian the law is exact: its spreads are fixed functions of
+its width a, so E[sigma_O^2] is sigma_O^2 itself.  `dcollapse verify` holds
+the law there, as an ODE: sigma_O^2 of the spreads of the closed-form width
+flow must have drift_prediction of the same spreads as its slope, and
+vanish at a_inf.
 """
 
 from __future__ import annotations
@@ -80,21 +84,6 @@ def drift_prediction(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def relaxation_weights(p: ModelParams):
-    """Linearized decay weights (w1, w2, w3) of the relative deviations.
-
-    w1 and w2 coincide (both equal -4 lam sq~^2 sp~^2) and w3 is their
-    qp-coupled counterpart; the equalities are consequences of the stationary
-    identities and are pinned by tests.
-    """
-    sq2, sp2, sqp2 = _bars(p)
-    lam, al, m = p.collapse_rate, p.momentum_coupling, p.mass
-    w1 = -8.0 * lam * (sq2 * sp2 - 0.5 * al * sp2 - sqp2 * sqp2)
-    w2 = -2.0 * (2.0 * al * lam * sp2 + (sqp2 / m) * (sp2 / sq2))
-    w3 = 2.0 * (sqp2 / m) * (sp2 / sq2)
-    return w1, w2, w3
-
-
 def stationarity_residuals(p: ModelParams) -> StationarityResiduals:
     """Check that the derived stationary spreads satisfy their defining
     identities.  Returns relative residuals (zero up to rounding)."""
@@ -109,37 +98,7 @@ def stationarity_residuals(p: ModelParams) -> StationarityResiduals:
     return StationarityResiduals(drift=drift, mixed=mixed, uncertainty=uncertainty)
 
 
-def random_moment_triples(n: int, p: ModelParams, rng):
-    """Sample n physical moment triples around the stationary point.
-
-    Relative deviations X, Y, Z are drawn uniformly from [-0.9, 3.0]
-    and triples violating the uncertainty inequality
-    sigma_q^2 sigma_p^2 - sigma_qp^4 >= hbar^2/4 are rejected.  Returns
-    (sigma_q_sq, sigma_p_sq, sigma_qp_sq) arrays of length n.
-    """
-    sq2, sp2, sqp2 = _bars(p)
-    quarter = 0.25 * p.hbar**2
-    out_q = np.empty(n)
-    out_p = np.empty(n)
-    out_qp = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 64)
-        x, y, z = rng.uniform(-0.9, 3.0, size=(3, m))
-        q2 = sq2 * (1.0 + x)
-        p2 = sp2 * (1.0 + y)
-        qp2 = sqp2 * (1.0 + z)
-        ok = q2 * p2 - qp2 * qp2 >= quarter
-        take = min(int(ok.sum()), n - filled)
-        sel = np.flatnonzero(ok)[:take]
-        out_q[filled:filled + take] = q2[sel]
-        out_p[filled:filled + take] = p2[sel]
-        out_qp[filled:filled + take] = qp2[sel]
-        filled += take
-    return out_q, out_p, out_qp
-
-
 __all__ = [
     "StationarityResiduals", "sigma_O_sq", "drift_prediction",
-    "relaxation_weights", "stationarity_residuals", "random_moment_triples",
+    "stationarity_residuals",
 ]

@@ -25,6 +25,7 @@ from dcollapse.ensemble import (ExperimentConfig, branch_outcomes,
 from dcollapse.gaussian import GaussianState
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 
+from moment_sampler import random_moment_triples
 import reference_closed_forms as rcf
 from reference_ode import riccati_rhs, rk4_path
 
@@ -367,7 +368,7 @@ class TestMomentInequalities:
     def test_contraction_never_reverses(self, p_nat):
         rng = np.random.default_rng(2718)
         t0 = time.perf_counter()
-        q2, p2, qp2 = loc.random_moment_triples(100_000, p_nat, rng)
+        q2, p2, qp2 = random_moment_triples(100_000, p_nat, rng)
         so = loc.sigma_O_sq(q2, p2, qp2, p_nat)
         dr = loc.drift_prediction(q2, p2, qp2, p_nat)
         elapsed = time.perf_counter() - t0

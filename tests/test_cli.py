@@ -673,14 +673,13 @@ class TestVerify:
         assert report["schema"] == "verify-v1"
         assert report["passed"] is True
         assert set(report["checks"]) == {
-            "stationary_identities", "relaxation_weights",
-            "width_closed_form", "coefficient_flow",
+            "stationary_identities", "width_closed_form", "coefficient_flow",
             "stationary_covariance", "energy_relaxation",
             "localization_drift", "ensemble_vs_master",
         }
         assert all(c["passed"] for c in report["checks"].values())
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 7
         assert "FAIL" not in out
 
     def test_zero_collapse_rate_exits_1(self, tmp_path, capsys):
@@ -714,28 +713,27 @@ class TestVerify:
         return ["--config", str(path)]
 
     def test_usual_model_passes(self, tmp_path, capsys):
-        # coeff_flow's undamped branch is held to its ODE too, not to
-        # itself: the coefficient residual is rounding, not 0
+        # coeff_flow's undamped branch and the contraction law are held to
+        # their ODEs, not to themselves: both residuals are rounding, not 0
         rc = cli.main(["verify", "--out", str(tmp_path),
                        *self._usual_model(tmp_path)])
         assert rc == 0
-        assert capsys.readouterr().out.count("PASS") == 8
+        assert capsys.readouterr().out.count("PASS") == 7
         with open(tmp_path / "verify.json") as f:
-            check = json.load(f)["checks"]["coefficient_flow"]
-        assert 0.0 < check["max_residual"] < check["tol"]
+            checks = json.load(f)["checks"]
+        for name in ("coefficient_flow", "localization_drift"):
+            assert 0.0 < checks[name]["max_residual"] < checks[name]["tol"]
 
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch):
         broken = loc.StationarityResiduals(drift=1.0, mixed=0.0,
                                            uncertainty=0.0)
         monkeypatch.setattr(cli.loc, "stationarity_residuals",
                             lambda p: broken)
-        rc = cli.main(["verify", "--out", str(tmp_path)])
-        assert rc == 2
+        self._fails_only("stationary_identities", tmp_path, capsys)
         with open(tmp_path / "verify.json") as f:
             report = json.load(f)
         assert report["passed"] is False
         assert report["checks"]["stationary_identities"]["passed"] is False
-        assert "FAIL" in capsys.readouterr().out
 
     def test_energy_law_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # the paper's energy law, off by one part in 1e6, fails the check
@@ -756,7 +754,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert f"FAIL  {name}" in out
         assert out.count("FAIL") == 1
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 6
         with open(tmp_path / "verify.json") as f:
             check = json.load(f)["checks"][name]
         assert check["tol"] < check["max_residual"]
@@ -813,6 +811,29 @@ class TestVerify:
         monkeypatch.setattr(cli.me, "coeff_flow", defect)
         self._fails_only("coefficient_flow", tmp_path, capsys)
 
+    def test_halved_drift_fails_only_the_localization_check(
+            self, tmp_path, capsys, monkeypatch):
+        # sigma_O^2 along the width flow falls at the full rate, twice the
+        # predicted one
+        exact = cli.loc.drift_prediction
+        monkeypatch.setattr(cli.loc, "drift_prediction",
+                            lambda *args: 0.5 * exact(*args))
+        self._fails_only("localization_drift", tmp_path, capsys)
+
+    def test_dropped_offset_fails_only_the_localization_check(
+            self, tmp_path, capsys, monkeypatch):
+        # sigma_O^2 without its -hbar^2 / (2 sq~^2) no longer vanishes at
+        # a_inf; its slope is unchanged, but drift_prediction, which
+        # reads it, is not
+        exact = cli.loc.sigma_O_sq
+
+        def defect(q2, p2, qp2, p):
+            d = derive_constants(p, boltzmann=1.0)
+            return exact(q2, p2, qp2, p) + p.hbar**2 / (2.0 * d.sigma_q_bar**2)
+
+        monkeypatch.setattr(cli.loc, "sigma_O_sq", defect)
+        self._fails_only("localization_drift", tmp_path, capsys)
+
     def test_riccati_constant_defect_fails_the_width_check(
             self, tmp_path, capsys, monkeypatch):
         # a wrong B keeps a(0) = a0 exactly and the flow still relaxes, to
@@ -837,7 +858,7 @@ class TestVerify:
                             no_pool)
         rc = cli.main(["verify", "--out", str(tmp_path)])
         assert rc == 0
-        assert capsys.readouterr().out.count("PASS") == 8
+        assert capsys.readouterr().out.count("PASS") == 7
         assert multiprocessing.active_children() == []
 
     def test_two_worker_ensemble(self, tmp_path, capsys):
@@ -847,7 +868,7 @@ class TestVerify:
         write_config(ExperimentConfig(n_workers=2), path)
         rc = cli.main(["verify", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
-        assert capsys.readouterr().out.count("PASS") == 8
+        assert capsys.readouterr().out.count("PASS") == 7
         assert multiprocessing.active_children() == []
 
     def test_aborted_ensemble_names_its_fixed_settings(self, tmp_path,

@@ -8,6 +8,8 @@ from dcollapse.gaussian import spreads
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 from dcollapse import localization as lo
 
+from moment_sampler import random_moment_triples
+
 
 def random_params(rng):
     return ModelParams(mass=10 ** rng.uniform(-2, 2),
@@ -38,7 +40,7 @@ class TestSigmaO:
 
     def test_non_negative_on_sampled_moments(self, p_nat, d_nat):
         rng = np.random.default_rng(7)
-        q2, p2, qp2 = lo.random_moment_triples(100_000, p_nat, rng)
+        q2, p2, qp2 = random_moment_triples(100_000, p_nat, rng)
         vals = lo.sigma_O_sq(q2, p2, qp2, p_nat)
         assert float(np.min(vals)) > -1e-12 * d_nat.sigma_p_bar ** 2
 
@@ -60,7 +62,7 @@ class TestDrift:
 
     def test_never_positive_on_large_sample(self, p_nat, d_nat):
         rng = np.random.default_rng(11)
-        q2, p2, qp2 = lo.random_moment_triples(100_000, p_nat, rng)
+        q2, p2, qp2 = random_moment_triples(100_000, p_nat, rng)
         drift = lo.drift_prediction(q2, p2, qp2, p_nat)
         scale = p_nat.collapse_rate * d_nat.sigma_p_bar ** 2 \
             * d_nat.sigma_q_bar ** 2
@@ -101,30 +103,6 @@ class TestDrift:
         scale = p_nat.collapse_rate * d_nat.sigma_p_bar ** 2 \
             * d_nat.sigma_q_bar ** 2
         assert lo.drift_prediction(q2, p2, qp2, p_nat) <= 1e-12 * scale
-
-
-class TestWeights:
-    def test_first_two_weights_coincide(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p = random_params(rng)
-            w1, w2, w3 = lo.relaxation_weights(p)
-            assert w1 == pytest.approx(w2, rel=1e-12)
-
-    def test_third_weight_relation(self):
-        # w3 closes the triangle: w2 + w3 = -4 lam alpha sp~^2
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            p = random_params(rng)
-            d = derive_constants(p, boltzmann=1.0)
-            w1, w2, w3 = lo.relaxation_weights(p)
-            want = -4.0 * p.collapse_rate * p.momentum_coupling \
-                * d.sigma_p_bar ** 2
-            assert w2 + w3 == pytest.approx(want, rel=1e-12)
-
-    def test_signs(self, p_nat):
-        w1, w2, w3 = lo.relaxation_weights(p_nat)
-        assert w1 < 0 and w2 < 0 and w3 > 0
 
 
 class TestStationarityResiduals:
@@ -192,7 +170,7 @@ class TestRateBound:
 class TestMomentSampler:
     def test_all_triples_are_physical(self, p_nat):
         rng = np.random.default_rng(21)
-        q2, p2, qp2 = lo.random_moment_triples(5000, p_nat, rng)
+        q2, p2, qp2 = random_moment_triples(5000, p_nat, rng)
         quarter = 0.25 * p_nat.hbar ** 2
         assert q2.shape == p2.shape == qp2.shape == (5000,)
         assert np.all(q2 * p2 - qp2 ** 2 >= quarter)
@@ -201,7 +179,7 @@ class TestMomentSampler:
     def test_respects_deviation_bounds(self, p_nat, d_nat):
         # relative deviations are drawn from the fixed range [-0.9, 3.0]
         rng = np.random.default_rng(22)
-        q2, p2, qp2 = lo.random_moment_triples(2000, p_nat, rng)
+        q2, p2, qp2 = random_moment_triples(2000, p_nat, rng)
         for got, bar in ((q2, d_nat.sigma_q_bar ** 2),
                          (p2, d_nat.sigma_p_bar ** 2),
                          (qp2, d_nat.sigma_qp_bar_sq)):
@@ -209,7 +187,7 @@ class TestMomentSampler:
             assert np.all(got <= 4.0 * bar * (1 + 1e-12))
 
     def test_reproducible_with_seed(self, p_nat):
-        one = lo.random_moment_triples(100, p_nat, np.random.default_rng(5))
-        two = lo.random_moment_triples(100, p_nat, np.random.default_rng(5))
+        one = random_moment_triples(100, p_nat, np.random.default_rng(5))
+        two = random_moment_triples(100, p_nat, np.random.default_rng(5))
         for x, y in zip(one, two):
             assert np.array_equal(x, y)
