@@ -25,8 +25,8 @@ initial condition converges to it at the complex rate omega1 + i omega2.
 
 Centre-of-packet statistics over the ensemble of noise realizations obey
 linear ODEs with a-dependent coefficients.  For a trajectory sitting at
-a_inf, stationary_covariance solves them in closed form, organised so that
-every term is a non-negative product of the cancellation-safe kernels in
+a_inf, stationary_covariance solves them in closed form, one formula from
+alpha = 0 to saturation through the cancellation-safe kernels in
 `numerics`.
 """
 
@@ -97,7 +97,8 @@ def a_closed_form(a0, t, p: ModelParams):
         raise ValueError("Re a0 must be positive")
     m, hb = p.mass, p.hbar
     if p.collapse_rate == 0.0:
-        out = _free_width(a0, t, m, hb)
+        ar_t, ai_t = _free_width(a0, t, m, hb)
+        out = ar_t + 1j * ai_t
     else:
         A, B = _riccati_constants(p)
         tau0 = 1j * (2.0 * a0 + A) / B
@@ -107,8 +108,16 @@ def a_closed_form(a0, t, p: ModelParams):
 
 
 def _free_width(a0, t, m, hb):
-    """Free-spreading width law on numpy arrays or scalars a0 and t."""
-    return a0 / (1.0 + 2j * hb * a0 * t / m)
+    """Real and imaginary parts of the free width a0 / (1 + i kappa a0),
+    kappa = 2 hbar t / m, over D = |1 + i kappa a0|^2.  Re a_t = Re a0 / D
+    keeps full precision however far the packet spreads, and + - * / on
+    Python floats give the bits of the array path."""
+    ar, ai = a0.real, a0.imag
+    kappa = 2.0 * hb * t / m
+    w = 1.0 - kappa * ai
+    v = kappa * ar
+    den = w * w + v * v
+    return ar / den, (ai - kappa * (ar * ar + ai * ai)) / den
 
 
 def spreads(a, p: ModelParams):
@@ -141,9 +150,11 @@ def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
 
     with s(a) = 1/(2 Re a) - alpha and c(a) = -Im a / Re a.
 
-    Vectorizes over t.  Organised as sums of non-negative kernel terms, so the
-    result keeps full relative precision even in SI units where the damping
-    exponent is ~1e-20 for laboratory times.
+    Vectorizes over t.  One formula in u = 2 lam alpha t through the kernels
+    of `numerics`, which keeps full relative precision even in SI units,
+    where u is ~1e-20 for laboratory times; its alpha = 0 limit is the
+    polynomial growth (G = 1, F = 1/2, K = -2/3).  At lam = 0 there is no
+    stationary width, and the covariances stay 0.
     """
     d = derive_constants(p, boltzmann=1.0)
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
@@ -154,20 +165,12 @@ def stationary_covariance(t, p: ModelParams) -> CovarianceMatrix:
         return _scalarize(out) if t.ndim == 0 else out
     c = 2.0 * d.sigma_qp_bar_sq / hb
     s = 2.0 * d.sigma_q_bar**2 - al
-    if al == 0.0:
-        qq = lam * s * s * t + lam * hb * c * s * t * t / m \
-            + lam * hb * hb * c * c * t**3 / (3.0 * m * m)
-        qp = lam * hb * c * s * t + lam * hb * hb * c * c * t * t / (2.0 * m)
-        pp = lam * hb * hb * c * c * t
-    else:
-        u = 2.0 * lam * al * t
-        h = hb * c / (2.0 * lam * al * m)
-        qq = (s * s * u / 2.0 + h * s * numerics.f2(u)
-              + 0.25 * h * h * (-numerics.k1(u))) / al
-        gam = numerics.one_minus_exp(u)
-        qp = gam * (hb * hb * c * c * gam / (4.0 * al * m)
-                    + lam * hb * c * s) / (2.0 * lam * al)
-        pp = (hb * hb * c * c / (4.0 * al)) * numerics.one_minus_exp(2.0 * u)
+    u = 2.0 * lam * al * t
+    tg = t * numerics.G(u)
+    qq = lam * s * s * t + 2.0 * lam * hb * c * s * t * t * numerics.F(u) / m \
+        - lam * hb * hb * c * c * t**3 * numerics.K(u) / (2.0 * m * m)
+    qp = tg * (lam * hb * c * s + lam * hb * hb * c * c * tg / (2.0 * m))
+    pp = lam * hb * hb * c * c * t * numerics.G(2.0 * u)
     out = CovarianceMatrix(qq=qq, qp=qp, pp=pp)
     return _scalarize(out) if t.ndim == 0 else out
 

@@ -28,8 +28,10 @@ arguments.  For Gaussian data that integral is itself a normal density whose
 mean and variance are closed forms in (b, s), so every route costs one
 exponential per point.
 
-All long-time kernels are evaluated through `numerics`, so the formulas hold
-from u = 2*lam*alpha*t ~ 1e-20 (SI, laboratory times) up to saturation.
+All long-time kernels are evaluated through `numerics`, divided by their
+leading power of u = 2*lam*alpha*t, so each result is one formula that
+holds from the usual model (alpha = 0, u = 0) through u ~ 1e-20 (SI,
+laboratory times) up to saturation.
 """
 
 from __future__ import annotations
@@ -126,61 +128,44 @@ def energy_from_coefficients(c: CharCoefficients, p: ModelParams) -> float:
 
 
 def mean_energy(e0: float, t, p: ModelParams):
-    """Closed-form ensemble energy: relaxation to the asymptotic value at
-    rate 4 lam alpha, or linear heating when the momentum coupling is zero.
+    """Closed-form ensemble energy: relaxation to the asymptotic value
+    hbar^2 / (8 m alpha) at rate 4 lam alpha.
 
-    The relaxation is written as e0 e^{-v} + e_inf gamma(v), v = 4 lam alpha t,
-    a sum of non-negative terms.  At laboratory scale e_inf / e0 is of order
-    1e15 and v of order 1e-20, and the form e_inf + (e0 - e_inf) e^{-v} loses
-    a few percent there to cancellation.
+    Written as e0 e^{-v} + lam hbar^2 t G(v) / 2m, v = 4 lam alpha t, a sum
+    of non-negative terms.  At laboratory scale e_inf / e0 is of order 1e15
+    and v of order 1e-20, and the form e_inf + (e0 - e_inf) e^{-v} loses a
+    few percent there to cancellation.  Its limits are the same formula:
+    linear heating e0 + lam hbar^2 t / 2m at alpha = 0 (G(0) = 1), and e0
+    at lam = 0.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     t = np.asarray(t, dtype=float)
-    if lam == 0.0:
-        out = np.broadcast_to(np.asarray(e0, dtype=float), t.shape).copy()
-    elif al == 0.0:
-        out = e0 + lam * hb * hb * t / (2.0 * m)
-    else:
-        e_inf = hb * hb / (8.0 * m * al)
-        v = 4.0 * lam * al * t
-        out = e0 * np.exp(-v) + e_inf * numerics.one_minus_exp(v)
+    v = 4.0 * lam * al * t
+    out = e0 * np.exp(-v) + lam * hb * hb * t * numerics.G(v) / (2.0 * m)
     return float(out) if out.ndim == 0 else out
 
 
 def coeff_flow(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficients:
     """Closed-form coefficient vector after time t.
 
-    Uses the cancellation-safe kernels throughout, with explicit branches for
-    the free (lam = 0) and undamped (alpha = 0) limits.
+    With u = 2 lam alpha t, d = e^{-u} and g = t G(u) / m, every term is a
+    product of well-scaled factors, one formula from the free shear
+    (lam = 0) and the usual model (alpha = 0, where G = 1, K = -2/3) to
+    saturation.  The fixed-point-plus-deviation form
+    1/(8 alpha) + (c3 - 1/(8 alpha)) d^2 would cancel catastrophically when
+    c3 << 1/(8 alpha) and u is at laboratory scale.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0 or al == 0.0:
-        # free shear, plus linear noise growth when lam > 0
-        return CharCoefficients(
-            c1=c.c1 + c.c2 * t / m + c.c3 * t * t / (m * m)
-            + lam * t**3 / (6.0 * m * m),
-            c2=c.c2 + 2.0 * c.c3 * t / m + lam * t * t / (2.0 * m),
-            c3=c.c3 + 0.5 * lam * t,
-            c4=c.c4 + c.c5 * t / m,
-            c5=c.c5,
-            c6=c.c6,
-        )
     u = 2.0 * lam * al * t
     d = math.exp(-u)
-    gam = numerics.one_minus_exp(u)
-    # written so every term is a product of well-scaled factors; the naive
-    # fixed-point-plus-deviation form 1/(8 al) + (c3 - 1/(8 al)) d^2 cancels
-    # catastrophically when c3 << 1/(8 al) and u is at laboratory scale
-    gam2 = numerics.one_minus_exp(2.0 * u)
+    gu = numerics.G(u)
+    g = t * gu / m
     return CharCoefficients(
-        c1=c.c1 + lam * al * al * t / (2.0 * hb * hb)
-        + c.c2 * gam / (2.0 * m * lam * al)
-        + c.c3 * gam * gam / (4.0 * m * m * lam * lam * al * al)
-        + (-numerics.k1(u)) / (32.0 * m * m * lam * lam * al**3),
-        c2=c.c2 * d + c.c3 * gam * d / (m * lam * al)
-        + gam * gam / (8.0 * m * lam * al * al),
-        c3=c.c3 * d * d + gam2 / (8.0 * al),
-        c4=c.c4 + c.c5 * gam / (2.0 * m * lam * al),
+        c1=c.c1 + lam * al * al * t / (2.0 * hb * hb) + c.c2 * g
+        + c.c3 * g * g - lam * t**3 * numerics.K(u) / (4.0 * m * m),
+        c2=c.c2 * d + 2.0 * c.c3 * g * d + lam * t * t * gu * gu / (2.0 * m),
+        c3=c.c3 * d * d + lam * t * numerics.G(2.0 * u) / 2.0,
+        c4=c.c4 + c.c5 * g,
         c5=c.c5 * d,
         c6=c.c6,
     )
@@ -211,50 +196,46 @@ def position_density(g0: GaussianState, t: float, p: ModelParams, x,
     with psi_S the free evolution of g0, of width a0 / (1 + 2 i hbar a0 t / m)
     and centre xbar + hbar kbar t / m, and a route-specific pair (b, s):
 
-      'exact'     b = lam alpha^2 t / (2 hbar^2)
-                      - k1(u) / (32 m^2 lam^2 alpha^3),
-                  s = f2(u) / (4 m lam alpha),  u = 2 lam alpha t
-                  (b = lam t^3 / 6m^2 and s = 0 at alpha = 0)
+      'exact'     b = lam alpha^2 t / (2 hbar^2) - lam t^3 K(u) / (4 m^2),
+                  s = lam alpha t^2 F(u) / m,  u = 2 lam alpha t
       'expansion' the short-time (cubic) weight: b = lam t^3 / 6m^2
                   + lam alpha^2 t / (2 hbar^2), s = lam alpha t^2 / 2m
       'smoothed'  the free density convolved with exp(-beta_t y^2):
                   b = 1 / (4 beta_t hbar^2), s = 0
       'free'      the freely evolved density itself: b = s = 0
 
-    For the Gaussian psi_S with width a_S = ar + i ai the integral is a
-    normal density with
+    The 'exact' pair is one formula for every lam, alpha and t: at
+    alpha = 0 it is the position-noise weight b = lam t^3 / 6m^2, s = 0
+    (F and K take their u = 0 limits 1/2 and -2/3), and at lam = 0 or
+    t = 0 it is b = s = 0.  For the Gaussian psi_S with width
+    a_S = ar + i ai the integral is a normal density with
 
         mean = xbar_S - 2 hbar kbar s,
         var  = 2 hbar^2 (b + 2 ar s^2) + (1 + 4 hbar ai s)^2 / (4 ar),
 
-    which at b = s = 0 (also 'exact' at lam = 0 or t = 0) is |psi_S|^2
-    itself.  The profile's trapezoid norm on x, a self-check, is computed
-    on first read.
+    which at b = s = 0 is |psi_S|^2 itself.  The profile's trapezoid norm
+    on x, a self-check, is computed on first read.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     # a copy, so the norm does not follow a caller's later writes to x
     x = np.array(x, dtype=float)
     beta = None
     b = s = 0.0
-    if method == "exact" and lam != 0.0 and t != 0.0:
-        if al == 0.0:
-            b = lam * t**3 / (6.0 * m * m)
-        else:
-            u = 2.0 * lam * al * t
-            b = lam * al * al * t / (2.0 * hb * hb) \
-                - numerics.k1(u) / (32.0 * m * m * lam * lam * al**3)
-            s = numerics.f2(u) / (4.0 * m * lam * al)
+    if method == "exact":
+        u = 2.0 * lam * al * t
+        b = lam * al * al * t / (2.0 * hb * hb) \
+            - lam * t**3 * numerics.K(u) / (4.0 * m * m)
+        s = lam * al * t * t * numerics.F(u) / m
     elif method == "expansion":
         b = lam * t**3 / (6.0 * m * m) + lam * al * al * t / (2.0 * hb * hb)
         s = lam * al * t * t / (2.0 * m)
     elif method == "smoothed":
         beta = beta_t(t, p)
         b = 1.0 / (4.0 * beta * hb * hb)
-    elif method not in ("exact", "free"):
+    elif method != "free":
         raise ValueError(f"unknown density method: {method}")
-    # on numpy scalars, which round as numpy's arrays do
-    a_s = complex(_free_width(np.complex128(g0.a), np.float64(t), m, hb))
-    ar, ai = a_s.real, a_s.imag
+    # on Python floats, which round as numpy's arrays do
+    ar, ai = _free_width(complex(g0.a), float(t), m, hb)
     if not ar > 0.0:
         raise ValueError("Re a must be positive for a normalizable state")
     mean = g0.xbar + hb * g0.kbar * t / m - 2.0 * hb * g0.kbar * s

@@ -13,8 +13,9 @@ here are kept only as oracles:
   the fixed point; phi2 only enters through sin/cos and is defined mod 2 pi.
 - `green_factors` is the pointwise Green pullback of the characteristic
   function, which `master.coeff_flow` must reproduce coefficient by
-  coefficient.  Its kernels `k2` and `k3`, which `evolve_characteristic`
-  shares, run on the Taylor-series machinery of `numerics`.
+  coefficient.  Its kernels `K2` and `K3`, which `evolve_characteristic`
+  shares, are k2 and k3 divided by u^3 as `numerics` divides its own, on
+  its Taylor-series machinery.
 - `evolve_characteristic` pushes a coefficient vector through the Green
   identity term by term, an arithmetic route to `master.coeff_flow`'s
   result that the tests compare with it.
@@ -22,8 +23,9 @@ here are kept only as oracles:
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
 - `free_evolve` is the collapse-free evolution of a Gaussian state, its
-  width law evaluated on 0-d arrays.  `master.position_density` evaluates
-  the width on numpy scalars instead, and must match it bit for bit.
+  width law a0 / (1 + i kappa a0) written over D = |1 + i kappa a0|^2 and
+  evaluated on 0-d arrays.  `master.position_density` evaluates the width
+  on Python floats instead, and must match it bit for bit.
 - `normal_density` is that normal density and its trapezoid norm written
   as array expressions.  `master.position_density` evaluates them in place
   in one buffer and folds two exact power-of-two scalings: the -0.5 into
@@ -39,7 +41,7 @@ import numpy as np
 from dcollapse import numerics
 from dcollapse.gaussian import (GaussianState, _riccati_constants,
                                 a_closed_form)
-from dcollapse.master import CharCoefficients, coeff_flow
+from dcollapse.master import CharCoefficients
 from dcollapse.model import DerivedConstants, ModelParams, derive_constants
 
 _SQRT2 = math.sqrt(2.0)
@@ -87,8 +89,10 @@ def wavefunction(g: GaussianState, x):
 def free_evolve(g: GaussianState, t: float, p: ModelParams) -> GaussianState:
     """Collapse-free (unitary) evolution of a Gaussian state for time t."""
     a0 = np.asarray(g.a, dtype=complex)
-    t_arr = np.asarray(t, dtype=float)
-    a_t = complex(a0 / (1.0 + 2j * p.hbar * a0 * t_arr / p.mass))
+    kappa = 2.0 * p.hbar * np.asarray(t, dtype=float) / p.mass
+    den = (1.0 - kappa * a0.imag) ** 2 + (kappa * a0.real) ** 2
+    a_t = complex(a0.real / den,
+                  (a0.imag - kappa * (a0.real ** 2 + a0.imag ** 2)) / den)
     return GaussianState(a=a_t, xbar=g.xbar + p.hbar * g.kbar * t / p.mass,
                          kbar=g.kbar)
 
@@ -167,24 +171,25 @@ _K3_COEFFS = numerics._series_coeffs(
     lambda n: (-1) ** n * (2**n * n + 4 - 3 * 2**n), 3)
 
 
-def k2(u):
-    """e^-2u + 2u e^-u - 1  (= -(1/3)u^3 + ...), non-positive."""
+def K2(u):
+    """(e^-2u + 2u e^-u - 1) / u^3  (= -1/3 + u/3 - ...), negative."""
 
     def direct(v):
-        return np.exp(-2.0 * v) + 2.0 * v * np.exp(-v) - 1.0
+        return (np.exp(-2.0 * v) + 2.0 * v * np.exp(-v) - 1.0) / (v * v * v)
 
-    return numerics._eval_kernel(u, _K2_COEFFS, 3, direct)
+    return numerics._eval_kernel(u, _K2_COEFFS, direct)
 
 
-def k3(u):
-    """-2u e^-2u - gamma^2 + 2 gamma e^-u  (= -(2/3)u^3 + ...), non-positive."""
+def K3(u):
+    """(-2u e^-2u - gamma^2 + 2 gamma e^-u) / u^3  (= -2/3 + 5u/6 - ...),
+    negative."""
 
     def direct(v):
         g = -np.expm1(-v)
         d = np.exp(-v)
-        return -2.0 * v * d * d - g * g + 2.0 * g * d
+        return (-2.0 * v * d * d - g * g + 2.0 * g * d) / (v * v * v)
 
-    return numerics._eval_kernel(u, _K3_COEFFS, 3, direct)
+    return numerics._eval_kernel(u, _K3_COEFFS, direct)
 
 
 @dataclass(frozen=True)
@@ -201,30 +206,23 @@ def green_factors(k: float, x: float, t: float, p: ModelParams) -> GreenFactors:
 
     rho~_t(k, x) = exp(log_weight) * rho~_0(k, x0) with
 
-        x0 = x e^{-u} + k gamma(u) / (2 m lam alpha),   u = 2 lam alpha t,
+        x0 = x e^{-u} + k t G(u) / m,   u = 2 lam alpha t,
 
-    and a log-weight quadratic in (x0, x) whose kernel coefficients are the
-    k1/k2/k3 combinations (all non-positive, so the weight damps).  The
-    alpha = 0 limit reduces to the pure position-noise kernel
-    -(lam t / 6)(x0^2 + x x0 + x^2) with x0 = x + k t / m.
+    and a log-weight quadratic in (x0, x) whose kernel coefficients are
+    K, K2 and K3 (all negative, so the weight damps).  At alpha = 0 the
+    same formula is the pure position-noise kernel
+    -(lam t / 6)(x0^2 + x x0 + x^2) with x0 = x + k t / m, and at lam = 0
+    the free shear with unit weight.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0 or t == 0.0:
-        return GreenFactors(k0=k, x0=x + k * t / m, log_weight=0.0)
-    if al == 0.0:
-        x0 = x + k * t / m
-        return GreenFactors(
-            k0=k, x0=x0,
-            log_weight=-(lam * t / 6.0) * (x0 * x0 + x * x0 + x * x),
-        )
     u = 2.0 * lam * al * t
-    gam = float(numerics.one_minus_exp(u))
-    x0 = x * math.exp(-u) + k * gam / (2.0 * m * lam * al)
-    quad = (
-        x0 * x0 * float(numerics.k1(u))
-        + 2.0 * x * x0 * float(k2(u))
-        + x * x * float(k3(u))
-    ) / (8.0 * al * gam * gam)
+    gu = float(numerics.G(u))
+    x0 = x * math.exp(-u) + k * t * gu / m
+    quad = lam * t * (
+        x0 * x0 * float(numerics.K(u))
+        + 2.0 * x * x0 * float(K2(u))
+        + x * x * float(K3(u))
+    ) / (4.0 * gu * gu)
     log_w = -lam * al * al * k * k * t / (2.0 * hb * hb) + quad
     return GreenFactors(k0=k, x0=x0, log_weight=log_w)
 
@@ -238,8 +236,6 @@ def evolve_characteristic(c: CharCoefficients, t: float, p: ModelParams) -> Char
     real consistency check.
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    if lam == 0.0 or al == 0.0 or t == 0.0:
-        return coeff_flow(c, t, p)
     c1s = c.c1 + c.c2 * t / m + c.c3 * t * t / (m * m)
     c2s = c.c2 + 2.0 * c.c3 * t / m
     c3s = c.c3
@@ -247,18 +243,20 @@ def evolve_characteristic(c: CharCoefficients, t: float, p: ModelParams) -> Char
     c5s = c.c5
     u = 2.0 * lam * al * t
     d = math.exp(-u)
-    gam = numerics.one_minus_exp(u)
-    gsh = gam / (2.0 * m * lam * al)
-    ss = -numerics.f2(u) / (2.0 * m * lam * al)
-    q1 = numerics.k1(u)
-    q2 = k2(u)
-    q3 = k3(u)
-    denom = 8.0 * al * gam * gam
+    gu = numerics.G(u)
+    gsh = t * gu / m
+    ss = -2.0 * lam * al * t * t * numerics.F(u) / m
+    q1 = numerics.K(u)
+    q2 = K2(u)
+    q3 = K3(u)
     return CharCoefficients(
         c1=c1s + c2s * ss + c3s * ss * ss
-        + lam * al * al * t / (2.0 * hb * hb) - gsh * gsh * q1 / denom,
-        c2=d * (c2s + 2.0 * c3s * ss) - gsh * (d * q1 + q2) / (0.5 * denom),
-        c3=c3s * d * d - (d * d * q1 + 2.0 * d * q2 + q3) / denom,
+        + lam * al * al * t / (2.0 * hb * hb)
+        - lam * t**3 * q1 / (4.0 * m * m),
+        c2=d * (c2s + 2.0 * c3s * ss)
+        - lam * t * t * (d * q1 + q2) / (2.0 * m * gu),
+        c3=c3s * d * d
+        - lam * t * (d * d * q1 + 2.0 * d * q2 + q3) / (4.0 * gu * gu),
         c4=c4s + c5s * ss,
         c5=c5s * d,
         c6=c.c6,

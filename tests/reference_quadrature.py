@@ -34,12 +34,10 @@ def route_weights(method: str, t: float, p: ModelParams):
                 lam * al * t * t / (2.0 * m))
     if method != "exact":
         raise ValueError(f"no quadrature for route {method}")
-    if al == 0.0:
-        return lam * t**3 / (6.0 * m * m), 0.0
     u = 2.0 * lam * al * t
     return (lam * al * al * t / (2.0 * hb * hb)
-            - float(numerics.k1(u)) / (32.0 * m * m * lam * lam * al**3),
-            float(numerics.f2(u)) / (4.0 * m * lam * al))
+            - lam * t**3 * float(numerics.K(u)) / (4.0 * m * m),
+            lam * al * t * t * float(numerics.F(u)) / m)
 
 
 def density_quadrature(g0: GaussianState, t: float, p: ModelParams, x,

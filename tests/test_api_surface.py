@@ -418,6 +418,16 @@ def test_every_method_has_a_caller():
         "benchmark uses: " + ", ".join(f"{m}.{n}" for m, n in unused))
 
 
+def test_numerics_exports_the_divided_kernels():
+    # gamma, f2 and k1 divided by their leading power of u; the undivided
+    # kernels are gone, so a leftover import of one fails at collection
+    from dcollapse import numerics
+    assert numerics.__all__ == ["G", "F", "K"]
+    assert all(callable(getattr(numerics, name)) for name in numerics.__all__)
+    assert not any(hasattr(numerics, name)
+                   for name in ("one_minus_exp", "f2", "k1"))
+
+
 def test_walk_follows_aliases_and_ignores_docstrings():
     src = (
         '"""Mentions helper() only in prose."""\n'

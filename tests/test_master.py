@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.gaussian import GaussianState, spreads
+from dcollapse.gaussian import (GaussianState, _free_width, spreads,
+                                stationary_covariance)
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
 from dcollapse import master as ms
 
@@ -460,11 +462,10 @@ class TestPositionDensity:
             p, g0, t, x_of = draw(rng, i)
             gs = rcf.free_evolve(g0, t, p)
             ar, ai, hb = gs.a.real, gs.a.imag, p.hbar
-            lam = p.collapse_rate
             for method in ("exact", "expansion", "smoothed", "free"):
                 if method == "smoothed":
                     b, s = 1.0 / (4.0 * ms.beta_t(t, p) * hb * hb), 0.0
-                elif method == "free" or lam == 0.0 or t == 0.0:
+                elif method == "free":
                     b, s = 0.0, 0.0
                 else:
                     b, s = reference_quadrature.route_weights(method, t, p)
@@ -478,15 +479,25 @@ class TestPositionDensity:
                 assert np.float64(prof.norm).tobytes() \
                     == np.float64(norm).tobytes()
 
-    def test_free_width_lost_to_rounding_raises(self):
+    def test_free_width_keeps_its_precision_when_far_spread(self):
         # a 1e-27 kg packet 1 pm wide after 1e3 s: 2 hbar |a0| t / m is
-        # 5.5e19, and Re a_S rounds to -1.5e-13 where its true value is
-        # 8.2e-17
-        g0 = GaussianState(a=complex(2.5e23, 7.5e22))
-        for method in ("exact", "free"):
-            with pytest.raises(ValueError, match="Re a must be positive"):
-                ms.position_density(g0, 1e3, scale_parameters(1e-27),
-                                    np.linspace(-1.0, 1.0, 5), method=method)
+        # 5.5e19, where the complex quotient a0 / (1 + 2 i hbar a0 t / m)
+        # leaves Re a_S rounding noise of either sign (-1.5e-13 and
+        # +1.5e-13 for the two spellings of a0) against its true 8.2e-17
+        p, t = scale_parameters(1e-27), 1e3
+        x = np.linspace(-1.0, 1.0, 5)
+        kappa = 2 * Fraction(p.hbar) * Fraction(t) / Fraction(p.mass)
+        for a0 in (complex(2.5e23, 7.5e22), 2.5e23 * (1 + 0.3j)):
+            ar, ai = Fraction(a0.real), Fraction(a0.imag)
+            want = float(ar / ((1 - kappa * ai) ** 2 + (kappa * ar) ** 2))
+            assert _free_width(a0, t, p.mass, p.hbar)[0] == pytest.approx(
+                want, rel=1e-12)
+            g0 = GaussianState(a=a0)
+            assert rcf.free_evolve(g0, t, p).a.real == pytest.approx(
+                want, rel=1e-12)
+            for method in ("exact", "free"):
+                prof = ms.position_density(g0, t, p, x, method=method)
+                assert np.all(prof.density > 0.0)
 
     def test_unknown_method_raises(self, g0, p_nat):
         with pytest.raises(ValueError):
@@ -527,3 +538,25 @@ class TestPositionDensity:
             want = peak * np.exp(-0.5 * (x - mom.q_mean) ** 2 / mom.var_q)
             assert np.max(np.abs(prof.density - want)) / peak < 1e-10
             assert prof.norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e-110, 1e-300])
+def test_vanishing_momentum_coupling_gives_the_usual_model(alpha, g0, c0):
+    # u = 2 lam alpha t underflows, and a form that divides by powers of
+    # lam alpha (lam^2 alpha^3 is 0 at alpha = 1e-110) fails there; each
+    # closed form must land on its alpha = 0 value
+    usual = ModelParams(mass=1.0, collapse_rate=0.1, momentum_coupling=0.0,
+                        hbar=1.0)
+    tiny = dataclasses.replace(usual, momentum_coupling=alpha)
+    t = 2.0
+    x = np.linspace(-6.0, 6.0, 49)
+    e0 = ms.energy_from_coefficients(c0, usual)
+
+    def results(p):
+        return [as_vec(ms.coeff_flow(c0, t, p)),
+                ms.mean_energy(e0, t, p),
+                ms.position_density(g0, t, p, x, method="exact").density,
+                dataclasses.astuple(stationary_covariance(t, p))]
+
+    for got, want in zip(results(tiny), results(usual)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

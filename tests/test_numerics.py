@@ -30,14 +30,26 @@ def brute_k3(u):
     return -2.0 * u * math.exp(-2.0 * u) - g * g + 2.0 * g * math.exp(-u)
 
 
-def series_reference(coeffs_fn, u, terms=60):
-    # direct rational-series evaluation, summed in exact arithmetic
+def brute_gamma(u):
+    return -math.expm1(-float(u))
+
+
+def series_reference(coeffs_fn, u, power, terms=60):
+    # direct rational-series evaluation of the kernel divided by u^power,
+    # summed in exact arithmetic
     from fractions import Fraction
     tot = Fraction(0)
     uu = Fraction(u).limit_denominator(10**12)
     for n, c in coeffs_fn(terms):
-        tot += c * uu**n
+        tot += c * uu**(n - power)
     return float(tot)
+
+
+def gamma_coeffs(terms):
+    from fractions import Fraction
+    import math as m
+    for n in range(1, terms):
+        yield n, Fraction((-1) ** (n + 1), m.factorial(n))
 
 
 def f2_coeffs(terms):
@@ -69,21 +81,35 @@ def k3_coeffs(terms):
                           m.factorial(n))
 
 
-@pytest.mark.parametrize("fn,ref_direct,ref_series", [
-    (nu.f2, brute_f2, f2_coeffs),
-    (nu.k1, brute_k1, k1_coeffs),
-    (rcf.k2, brute_k2, k2_coeffs),
-    (rcf.k3, brute_k3, k3_coeffs),
+# each kernel of `numerics` and of the oracle by the numerator it divides:
+# the kernel, the power of u it divides by, and its exact value at u = 0
+KERNELS = {
+    "one_minus_exp": (nu.G, 1, 1.0),
+    "f2": (nu.F, 2, 1 / 2),
+    "k1": (nu.K, 3, -2 / 3),
+    "k2": (rcf.K2, 3, -1 / 3),
+    "k3": (rcf.K3, 3, -2 / 3),
+}
+
+
+@pytest.mark.parametrize("name,ref_direct,ref_series", [
+    ("one_minus_exp", brute_gamma, gamma_coeffs),
+    ("f2", brute_f2, f2_coeffs),
+    ("k1", brute_k1, k1_coeffs),
+    ("k2", brute_k2, k2_coeffs),
+    ("k3", brute_k3, k3_coeffs),
 ])
-def test_kernels_match_series_oracle(fn, ref_direct, ref_series):
+def test_kernels_match_series_oracle(name, ref_direct, ref_series):
+    fn, power, _ = KERNELS[name]
     # small arguments: compare against the exact rational series
     for u in [1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 0.74]:
-        want = series_reference(ref_series, u)
+        want = series_reference(ref_series, u, power)
         got = float(fn(u))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
     # large arguments: direct formula is accurate there
     for u in [0.76, 1.0, 3.0, 10.0, 50.0]:
-        assert float(fn(u)) == pytest.approx(ref_direct(u), rel=1e-12)
+        assert float(fn(u)) == pytest.approx(ref_direct(u) / u**power,
+                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("table,n_min,gen", [
@@ -98,11 +124,12 @@ def test_series_tables_are_rounded_rationals(table, n_min, gen):
     assert table == want
 
 
-@pytest.mark.parametrize("fn", [nu.f2, nu.k1, rcf.k2, rcf.k3,
-                                nu.one_minus_exp])
-def test_scalar_call_equals_array_element_bit_for_bit(fn):
-    # both sides of the series switch, the switch itself and u = 0
-    u = np.concatenate([[0.0, np.nextafter(0.75, 0.0), 0.75],
+@pytest.mark.parametrize("name", ["f2", "k1", "k2", "k3", "one_minus_exp"])
+def test_scalar_call_equals_array_element_bit_for_bit(name):
+    fn = KERNELS[name][0]
+    # both sides of the series switch, the switch itself, u = 0 and the
+    # smallest subnormal
+    u = np.concatenate([[0.0, 5e-324, np.nextafter(0.75, 0.0), 0.75],
                         np.logspace(-25.0, math.log10(60.0), 10001)])
     arr = fn(u)
     # a Python float, a numpy scalar and a 0-d array
@@ -115,49 +142,61 @@ def test_scalar_call_equals_array_element_bit_for_bit(fn):
         assert got.tobytes() == arr.tobytes()
 
 
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_kernels_take_their_limit_at_zero(name):
+    # the alpha = 0 value of every closed form rests on these; at the
+    # smallest subnormal u the higher terms vanish below rounding
+    fn, _, at_zero = KERNELS[name]
+    for u in (0.0, 5e-324):
+        assert fn(u) == at_zero
+        assert fn(np.array([u, u]))[1] == at_zero
+
+
 def test_kernels_continuous_at_switch():
     eps = 1e-9
-    for fn in (nu.f2, nu.k1, rcf.k2, rcf.k3):
+    for fn, _, _ in KERNELS.values():
         lo = float(fn(0.75 - eps))
         hi = float(fn(0.75 + eps))
         assert hi == pytest.approx(lo, rel=1e-7, abs=1e-12)
 
 
 def test_kernel_asymptotes():
-    # u -> inf: f2 ~ u - 1, k1 ~ -(2u - 3), k2 and k3 -> -1
+    # u -> inf: f2 ~ u - 1, k1 ~ -(2u - 3), k2 and k3 -> -1, over u^n
     u = 60.0
-    assert float(nu.f2(u)) == pytest.approx(u - 1.0, rel=1e-14)
-    assert float(nu.k1(u)) == pytest.approx(3.0 - 2.0 * u, rel=1e-14)
-    assert float(rcf.k2(u)) == pytest.approx(-1.0, rel=1e-14)
-    assert float(rcf.k3(u)) == pytest.approx(-1.0, rel=1e-14)
+    assert float(nu.F(u)) == pytest.approx((u - 1.0) / u**2, rel=1e-14)
+    assert float(nu.K(u)) == pytest.approx((3.0 - 2.0 * u) / u**3, rel=1e-14)
+    assert float(rcf.K2(u)) == pytest.approx(-1.0 / u**3, rel=1e-14)
+    assert float(rcf.K3(u)) == pytest.approx(-1.0 / u**3, rel=1e-14)
 
 
 @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_kernel_signs(u):
-    assert float(nu.f2(u)) >= 0.0
-    assert float(nu.k1(u)) <= 0.0
-    assert float(rcf.k2(u)) <= 0.0
-    assert float(rcf.k3(u)) <= 1e-15
-    g = float(nu.one_minus_exp(u))
+    assert float(nu.F(u)) >= 0.0
+    assert float(nu.K(u)) <= 0.0
+    assert float(rcf.K2(u)) <= 0.0
+    assert float(rcf.K3(u)) <= 1e-15
+    g = float(nu.G(u))
     assert 0.0 <= g <= 1.0
 
 
 def test_kernels_vectorized():
     u = np.array([0.0, 1e-6, 0.3, 0.75, 2.0, 40.0])
-    for fn, brute in [(nu.f2, brute_f2), (nu.k1, brute_k1),
-                      (rcf.k2, brute_k2), (rcf.k3, brute_k3)]:
+    for name, brute in [("f2", brute_f2), ("k1", brute_k1),
+                        ("k2", brute_k2), ("k3", brute_k3)]:
+        fn, power, at_zero = KERNELS[name]
         out = fn(u)
         assert out.shape == u.shape
         # spot check the large entries; small ones covered above
-        assert out[4] == pytest.approx(brute(2.0), rel=1e-12)
-        assert out[5] == pytest.approx(brute(40.0), rel=1e-12)
-        assert out[0] == 0.0
+        assert out[4] == pytest.approx(brute(2.0) / 2.0**power, rel=1e-12)
+        assert out[5] == pytest.approx(brute(40.0) / 40.0**power, rel=1e-12)
+        assert out[0] == at_zero
 
 
 def test_one_minus_exp_small_argument():
+    # G = (1 - e^-u) / u
     u = 1e-14
-    assert float(nu.one_minus_exp(u)) == pytest.approx(u, rel=1e-10)
+    assert float(nu.G(u)) == pytest.approx(1.0, rel=1e-10)
 
 
 # rk4_path is the tests' reference, not the library's: the closed forms'
