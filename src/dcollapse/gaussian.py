@@ -9,19 +9,18 @@ width parameter a obeys a deterministic Riccati equation
 
     da/dt = -(2 i hbar / m) a^2 - 4 lam alpha a + lam,
 
-while the centres (xbar, kbar) pick up the noise.  The Riccati flow is solved
-in closed form through a Moebius substitution: with
+while the centres (xbar, kbar) pick up the noise.  With gamma = 2 lam alpha,
+kappa' = 2 hbar / m and tau = tanh(mu t) / mu, mu^2 = gamma^2 + i kappa' lam,
+one Moebius map solves the flow for every lam, alpha and t:
 
-    A = -2 i lam alpha m / hbar,
-    B = (m omega / (sqrt(2) hbar)) e^{i theta}   (so B^2 = -A^2 + 2 i lam m/hbar),
+    a_t = (a0 + (lam - gamma a0) tau) / (1 + (gamma + i kappa' a0) tau).
 
-the solution is
-
-    a_t = -A/2 - (i B / 2) (tau0 + T) / (1 + tau0 T),
-    T   = tanh((hbar/m) B t),     tau0 = i (2 a0 + A) / B.
-
-tau0 = 1 is the attracting fixed point a_inf = -(A + i B)/2; every Re a0 > 0
-initial condition converges to it at the complex rate omega1 + i omega2.
+It relaxes every Re a0 > 0 to a_inf of `derive_constants`; at lam = 0,
+tau = t and it is the free spreading a0 / (1 + 2 i hbar a0 t / m).  At
+laboratory scale Re a_t is a tiny fraction of |a_t|, which the real part of
+a complex quotient would lose to the cancellation of the free-spreading
+terms, so a_closed_form writes N conj(D) out in real arithmetic with those
+terms cancelled in the algebra, and divides each part by |D|^2.
 
 Centre-of-packet statistics over the ensemble of noise realizations obey
 linear ODEs with a-dependent coefficients.  For a trajectory sitting at
@@ -32,15 +31,12 @@ alpha = 0 to saturation through the cancellation-safe kernels in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .model import ModelParams, derive_constants
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -78,32 +74,36 @@ class CovarianceMatrix:
     pp: float
 
 
-def _riccati_constants(p: ModelParams):
-    d = derive_constants(p, boltzmann=1.0)
-    A = -2j * p.collapse_rate * p.momentum_coupling * p.mass / p.hbar
-    B = (p.mass * d.omega / (_SQRT2 * p.hbar)) * np.exp(1j * d.theta)
-    return A, B
-
-
 def a_closed_form(a0, t, p: ModelParams):
-    """Width parameter at time t for the initial value a0.
-
-    Broadcasts over array a0 and t.  The collapse-free limit is the familiar
-    free-spreading law a0 / (1 + 2 i hbar a0 t / m).
-    """
+    """Width parameter at time t for the initial value a0, broadcast over
+    arrays: N conj(D) = re + i im of the module docstring, in tau = tr + i ti
+    and kappa' tau = kr + i ki.  It returns a0 exactly at t = 0, and the
+    bits of `_free_width` at lam = 0."""
     a0 = np.asarray(a0, dtype=complex)
     t = np.asarray(t, dtype=float)
     if np.any(a0.real <= 0.0):
         raise ValueError("Re a0 must be positive")
-    m, hb = p.mass, p.hbar
-    if p.collapse_rate == 0.0:
-        ar_t, ai_t = _free_width(a0, t, m, hb)
-        out = ar_t + 1j * ai_t
-    else:
-        A, B = _riccati_constants(p)
-        tau0 = 1j * (2.0 * a0 + A) / B
-        T = np.tanh((hb / m) * B * t)
-        out = -A / 2.0 - 0.5j * B * (tau0 + T) / (1.0 + tau0 * T)
+    lam, m, hb = p.collapse_rate, p.mass, p.hbar
+    g = 2.0 * lam * p.momentum_coupling
+    kp = 2.0 * hb / m
+    tau = t * numerics.H((g * g + 1j * kp * lam) * (t * t))
+    tr, ti = tau.real, tau.imag
+    kr, ki = 2.0 * hb * tr / m, 2.0 * hb * ti / m
+    tau2 = tr * tr + ti * ti
+    q = kr * tr + ki * ti
+    c = 1.0 - g * g * tau2
+    ar, ai = a0.real, a0.imag
+    a2 = ar * ar + ai * ai
+    dr = (1.0 + g * tr) - (ar * ki + ai * kr)
+    di = g * ti + (ar * kr - ai * ki)
+    den = dr * dr + di * di
+    re = ar * c - a2 * ki + lam * (tr + g * tau2) \
+        - ai * (lam * q - 2.0 * g * ti)
+    im = ai * c - a2 * (kr - g * kp * tau2) + lam * ti \
+        - ar * (lam * q + 2.0 * g * ti)
+    out = np.empty(den.shape, dtype=complex)
+    np.divide(re, den, out=out.real)
+    np.divide(im, den, out=out.imag)
     return complex(out) if out.ndim == 0 else out
 
 

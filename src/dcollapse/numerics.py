@@ -30,6 +30,15 @@ the terms above K cannot move the running sum at c_K by a quarter ulp, and
 for every table that fails above u ~ 1e-15, far below the callers' u.
 
 Signs for u >= 0: 0 < G <= 1, F > 0, K < 0.
+
+A fourth kernel serves the width flow, on complex w = mu^2 t^2:
+
+    H(w) = tanh(sqrt w) / sqrt w                 (= 1 - w/3 + ...)
+
+For |w| < 1 it is the ratio of the 11-term series of sinh(sqrt w) / sqrt w
+and of cosh(sqrt w), truncated below 1e-21; above, tanh(z) / z at z = sqrt w
+(H is even in z, so the branch of the root does not matter).  H(0) = 1
+exactly.  Its one caller passes an array, so H has the array path only.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ def _series_coeffs(num_of_n, n_min):
 
 _F2_COEFFS = _series_coeffs(lambda n: (-1) ** n, 2)
 _K1_COEFFS = _series_coeffs(lambda n: (-1) ** (n + 1) * (4 - 2**n), 3)
+_SINHC_COEFFS = [1 / factorial(2 * n + 1) for n in range(11)]
+_COSH_COEFFS = [1 / factorial(2 * n) for n in range(11)]
 
 
 def _horner(u, coeffs):
@@ -112,4 +123,16 @@ def K(u):
     return _eval_kernel(u, _K1_COEFFS, direct)
 
 
-__all__ = ["G", "F", "K"]
+def H(w):
+    """tanh(sqrt w) / sqrt w for a complex array w; 1 at w = 0."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty_like(w)
+    small = np.abs(w) < 1.0
+    ws = w[small]
+    out[small] = _horner(ws, _SINHC_COEFFS) / _horner(ws, _COSH_COEFFS)
+    z = np.sqrt(w[~small])
+    out[~small] = np.tanh(z) / z
+    return out
+
+
+__all__ = ["G", "F", "K", "H"]

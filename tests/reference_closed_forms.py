@@ -9,8 +9,10 @@ here are kept only as oracles:
   with it.
 - `phase_constants` and `sigma_q_of_t` are the trig-hyperbolic width
   formula, a second route to the spread that `gaussian.a_closed_form`
-  gives through its Moebius form.  phi1 = +inf denotes a start exactly at
-  the fixed point; phi2 only enters through sin/cos and is defined mod 2 pi.
+  gives through its Moebius form in tanh(mu t) / mu.  They build their
+  constants A and B from `derive_constants` (`riccati_constants`).
+  phi1 = +inf denotes a start exactly at the fixed point; phi2 only enters
+  through sin/cos and is defined mod 2 pi.
 - `green_factors` is the pointwise Green pullback of the characteristic
   function, which `master.coeff_flow` must reproduce coefficient by
   coefficient.  Its kernels `K2` and `K3`, which `evolve_characteristic`
@@ -19,6 +21,11 @@ here are kept only as oracles:
 - `evolve_characteristic` pushes a coefficient vector through the Green
   identity term by term, an arithmetic route to `master.coeff_flow`'s
   result that the tests compare with it.
+- `width_80_digits` is the width law a_closed_form writes, the Moebius map
+  in tau = tanh(mu t) / mu, evaluated in `mpmath` at 80 digits on the
+  exact values of its float inputs, with the spreads of its result.  At
+  laboratory scale Re a_t can sit 20 orders of magnitude below |a_t|, and
+  80 digits keep it to far below double precision.
 - `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
@@ -36,11 +43,11 @@ here are kept only as oracles:
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from dcollapse import numerics
-from dcollapse.gaussian import (GaussianState, _riccati_constants,
-                                a_closed_form)
+from dcollapse.gaussian import GaussianState, a_closed_form
 from dcollapse.master import CharCoefficients
 from dcollapse.model import DerivedConstants, ModelParams, derive_constants
 
@@ -75,6 +82,23 @@ def simulate_means(a0: complex, x0, k0, t_grid, p: ModelParams, increments):
         k = k - 2.0 * lam * al * k * dt - root * (ai / ar) * dW
         xs[i + 1], ks[i + 1] = x, k
     return xs, ks
+
+
+def width_80_digits(a0: complex, t: float, p: ModelParams):
+    """a_t and its spreads (sigma_q, sigma_p, sigma_qp_sq) as mpmath
+    numbers at 80 digits."""
+    with mpmath.workdps(80):
+        lam, al, m, hb = (mpmath.mpf(v) for v in (
+            p.collapse_rate, p.momentum_coupling, p.mass, p.hbar))
+        g, kp = 2 * lam * al, 2 * hb / m
+        mu = mpmath.sqrt(g * g + 1j * kp * lam)
+        t = mpmath.mpf(t)
+        tau = mpmath.tanh(mu * t) / mu if mu != 0 else t
+        a0 = mpmath.mpc(a0)
+        a = (a0 + (lam - g * a0) * tau) / (1 + (g + 1j * kp * a0) * tau)
+        ar, ai = a.real, a.imag
+        return a, (1 / (2 * mpmath.sqrt(ar)), hb * mpmath.sqrt(abs(a) ** 2 / ar),
+                   -hb * ai / (2 * ar))
 
 
 def wavefunction(g: GaussianState, x):
@@ -117,6 +141,16 @@ class PhaseConstants:
     phi2: float
 
 
+def riccati_constants(p: ModelParams):
+    """A = -2 i lam alpha m / hbar and B = (m omega / (sqrt(2) hbar)) e^{i theta}
+    of the substitution a = -A/2 - (i B / 2) tanh((hbar/m) B t + k), so that
+    B^2 = -A^2 + 2 i lam m / hbar."""
+    d = derive_constants(p, boltzmann=1.0)
+    A = -2j * p.collapse_rate * p.momentum_coupling * p.mass / p.hbar
+    B = (p.mass * d.omega / (_SQRT2 * p.hbar)) * np.exp(1j * d.theta)
+    return A, B
+
+
 def phase_constants(a0: complex, p: ModelParams) -> PhaseConstants:
     """Map an initial width to the constants (A, B, k, phi1, phi2) of the
     trig-hyperbolic representation.  a0 at the fixed point gives phi1 = +inf.
@@ -125,7 +159,7 @@ def phase_constants(a0: complex, p: ModelParams) -> PhaseConstants:
         raise ValueError("no relaxation constants at zero collapse rate")
     if not complex(a0).real > 0.0:
         raise ValueError("Re a0 must be positive")
-    A, B = _riccati_constants(p)
+    A, B = riccati_constants(p)
     tau0 = 1j * (2.0 * complex(a0) + A) / B
     if abs(tau0 - 1.0) < 1e-14:
         return PhaseConstants(A=complex(A), B=complex(B),

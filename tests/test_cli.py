@@ -836,16 +836,13 @@ class TestVerify:
 
     def test_riccati_constant_defect_fails_the_width_check(
             self, tmp_path, capsys, monkeypatch):
-        # a wrong B keeps a(0) = a0 exactly and the flow still relaxes, to
-        # the fixed point of another Riccati equation: only the ODE
+        # the kernel's argument w = mu^2 t^2 off by 2e-7, as if mu^2 were:
+        # tau = t H(w) keeps a(0) = a0 exactly, and the flow still relaxes,
+        # to the fixed point of another Riccati equation: only the ODE
         # residual can see it
-        exact = cli.ge._riccati_constants
-
-        def defect(p):
-            A, B = exact(p)
-            return A, B * (1.0 + 1e-7)
-
-        monkeypatch.setattr(cli.ge, "_riccati_constants", defect)
+        exact = cli.ge.numerics.H
+        monkeypatch.setattr(cli.ge.numerics, "H",
+                            lambda w: exact(w * (1.0 + 2e-7)))
         self._fails_only("width_closed_form", tmp_path, capsys)
 
     def test_runs_in_one_process(self, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcollapse.model import ModelParams
+from dcollapse.constants import NUCLEON_MASS
+from dcollapse.model import ModelParams, scale_parameters
 from dcollapse import gaussian as ge
 from dcollapse import master as ms
 
@@ -51,6 +52,61 @@ class TestWidthFlow:
         assert np.max(np.abs(a - d_nat.a_inf)) < 1e-12
 
 
+class TestWidthBits:
+    def test_time_zero_returns_a0(self, p_nat):
+        a0 = random_states(np.random.default_rng(8), 500)
+        assert ge.a_closed_form(a0, 0.0, p_nat).tobytes() == a0.tobytes()
+        for a in a0[:20].tolist():
+            assert ge.a_closed_form(a, 0.0, p_nat) == a
+
+    def test_zero_collapse_rate_is_the_free_law_bit_for_bit(self):
+        # tau = t exactly at mu = 0, and the expanded parts reduce to the
+        # D form of _free_width term for term
+        rng = np.random.default_rng(9)
+        a0 = random_states(rng, 64)
+        t = 10.0 ** rng.uniform(-3.0, 2.5, (40, 1))
+        for mass, alpha in ((1.0, 0.5), (0.3, 0.0), (7.0, 2.0),
+                            (NUCLEON_MASS, 0.1)):
+            p = ModelParams(mass=mass, collapse_rate=0.0,
+                            momentum_coupling=alpha, hbar=1.0)
+            got = ge.a_closed_form(a0, t, p)
+            ar, ai = ge._free_width(a0, t, mass, 1.0)
+            assert got.real.tobytes() == ar.tobytes()
+            assert got.imag.tobytes() == ai.tobytes()
+            for a, ti in zip(a0[:8].tolist(), t[:8, 0].tolist()):
+                assert ge.a_closed_form(a, ti, p) == complex(
+                    *ge._free_width(a, ti, mass, 1.0))
+
+
+class TestLaboratoryScale:
+    """a_closed_form held to the 80-digit law on SI couplings, where Re a_t
+    is a small difference of the free-spreading terms."""
+
+    MASSES = (1e-27, NUCLEON_MASS, 1e-20, 1e-15, 1e-10, 1e-5, 1.0)
+    WIDTHS = tuple(10.0 ** k for k in range(-12, -2))    # 1 pm to 1 mm
+    TIMES = np.array([10.0 ** k for k in range(-3, 7)])  # 1 ms to 1e6 s
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_width_and_spreads_match_the_80_digit_law(self, mass):
+        p = scale_parameters(mass)
+        a0 = np.array([complex(0.25 / w**2, r * 0.25 / w**2)
+                       for w in self.WIDTHS for r in (0.0, 0.3, -0.3)])
+        got = ge.a_closed_form(a0, self.TIMES[:, None], p)
+        sp = ge.spreads(got, p)
+        for i, t in enumerate(self.TIMES.tolist()):
+            for j, a in enumerate(a0.tolist()):
+                exact, (sq, spp, sqp) = rcf.width_80_digits(a, t, p)
+                size = float(abs(exact))
+                assert got[i, j].real == pytest.approx(float(exact.real),
+                                                       rel=1e-12)
+                assert abs(got[i, j].imag - float(exact.imag)) <= 1e-12 * size
+                assert sp.sigma_q[i, j] == pytest.approx(float(sq), rel=1e-12)
+                assert sp.sigma_p[i, j] == pytest.approx(float(spp), rel=1e-12)
+                # sigma_qp_sq to 1e-12 of the uncertainty product it sits in
+                assert abs(sp.sigma_qp_sq[i, j] - float(sqp)) \
+                    <= 1e-12 * float(sq * spp)
+
+
 class TestPhaseConstants:
     def test_width_formula_matches_closed_form(self, p_nat):
         rng = np.random.default_rng(3)
@@ -71,7 +127,7 @@ class TestPhaseConstants:
 
     def test_degenerate_direction_raises(self, p_nat):
         # tau0 = -1 corresponds to the unreachable repulsive branch
-        A, B = ge._riccati_constants(p_nat)
+        A, B = rcf.riccati_constants(p_nat)
         a_bad = (-A - 1j * B * (-1.0)) / 2.0
         with pytest.raises(ValueError):
             rcf.phase_constants(complex(a_bad), p_nat)

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +199,39 @@ def test_one_minus_exp_small_argument():
     # G = (1 - e^-u) / u
     u = 1e-14
     assert float(nu.G(u)) == pytest.approx(1.0, rel=1e-10)
+
+
+# H(w) = tanh(sqrt w) / sqrt w, the width flow's kernel on complex w
+def test_tanh_kernel_tables_are_rounded_rationals():
+    assert nu._SINHC_COEFFS == [
+        float(Fraction(1, math.factorial(2 * n + 1))) for n in range(11)]
+    assert nu._COSH_COEFFS == [
+        float(Fraction(1, math.factorial(2 * n))) for n in range(11)]
+
+
+def test_tanh_kernel_is_one_at_zero():
+    assert nu.H(np.array([0j, 0j]))[0] == 1.0
+    out = nu.H(np.array(0j))
+    assert out.shape == () and out == 1.0 and out.imag == 0.0
+
+
+def test_tanh_kernel_continuous_across_the_unit_circle():
+    eps = 1e-9
+    for arg in np.linspace(-math.pi, math.pi, 13):
+        lo = nu.H(np.array([(1.0 - eps) * np.exp(1j * arg)]))[0]
+        hi = nu.H(np.array([(1.0 + eps) * np.exp(1j * arg)]))[0]
+        assert abs(hi - lo) <= 1e-8 * abs(lo)
+
+
+def test_tanh_kernel_matches_mpmath():
+    w = np.array([1e-30j, 1e-15 * (1 + 1j), 0.99, 1.01,
+                  30.0 * np.exp(1j * math.pi / 4)])
+    got = nu.H(w)
+    with mpmath.workdps(40):
+        for wi, gi in zip(w.tolist(), got.tolist()):
+            z = mpmath.sqrt(mpmath.mpc(wi))
+            want = complex(mpmath.tanh(z) / z)
+            assert abs(gi - want) <= 4e-16 * abs(want)
 
 
 # rk4_path is the tests' reference, not the library's: the closed forms'
