@@ -74,15 +74,17 @@ class CovarianceMatrix:
     pp: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def a_closed_form(a0, t, p: ModelParams):
     """Width parameter at time t for the initial value a0, broadcast over
     arrays: N conj(D) = re + i im of the module docstring, in tau = tr + i ti
     and kappa' tau = kr + i ki.  It returns a0 exactly at t = 0, and the
-    bits of `_free_width` at lam = 0."""
+    bits of `_free_width` at lam = 0.  Where the law overflows (t * t
+    does from |t| ~ 1.3e154 on), it raises ValueError, not NaN."""
     a0 = np.asarray(a0, dtype=complex)
     t = np.asarray(t, dtype=float)
-    if np.any(a0.real <= 0.0):
-        raise ValueError("Re a0 must be positive")
+    if not np.all(np.isfinite(a0) & (a0.real > 0.0)):
+        raise ValueError("a0 must be finite with Re a0 > 0")
     lam, m, hb = p.collapse_rate, p.mass, p.hbar
     g = 2.0 * lam * p.momentum_coupling
     kp = 2.0 * hb / m
@@ -104,6 +106,8 @@ def a_closed_form(a0, t, p: ModelParams):
     out = np.empty(den.shape, dtype=complex)
     np.divide(re, den, out=out.real)
     np.divide(im, den, out=out.imag)
+    if not np.isfinite(out).all():
+        raise ValueError(f"t = {np.abs(t).max():g} overflows the width law")
     return complex(out) if out.ndim == 0 else out
 
 
@@ -128,7 +132,7 @@ def spreads(a, p: ModelParams):
     uncertainty relation is saturated exactly when a is real.
     """
     a = np.asarray(a, dtype=complex)
-    if np.any(a.real <= 0.0):
+    if not np.all(a.real > 0.0):   # NaN included
         raise ValueError("Re a must be positive")
     ar, ai = a.real, a.imag
     hb = p.hbar

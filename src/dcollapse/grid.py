@@ -41,19 +41,20 @@ and p psi = ifft(hbar k phi) back to position space and the interaction
 update forward again, 3 FFTs in all, and reads the norm off phi by
 Parseval's identity.  The inverse FFTs run unscaled, their 1/n folded
 into the kinetic factors.  A record applies the pending half-step and
-needs 2 FFTs: one for psi and one for p psi.  It stores raw row sums
-only: the products of |phi|^2 with [1, hbar k, (hbar k)^2, alias mask]
-and of |psi|^2 with [1, x, x^2], the real and imaginary parts of sum
-psi* x p psi, and the peak and edge of |psi|^2.  The moments, sigma_O_sq, the energy and the aliasing, leak and
-underflow flags follow from those sums once, after the loop, for every
-record at once.  The work buffers (phi, psi, p psi, an FFT scratch
-array, |psi|^2, c0 and c1) are allocated once per call and every FFT and
-elementwise update writes into them through out=, so the step loop
-allocates no (B, n) array.  Every reduction is a per-row dot product,
-never a (B, n) @ (n, k) BLAS product, so a trajectory gets the same bits
-alone as inside any batch.  evolve_batch is the only integrator: a
-single trajectory is a batch of one, psi0 of shape (n,) and increments of
-shape (1, n_steps).
+needs 2 FFTs: one for psi and one for p psi.  It stores 10 raw row
+sums only: the products of |phi|^2 with [1, hbar k, (hbar k)^2, alias
+mask] and of |psi|^2 with [1, x, x^2], the real part of sum psi* x p psi,
+and the peak and edge of |psi|^2.  The moments, the energy and the
+aliasing, leak and underflow flags follow from those sums once, after
+the loop, for every record at once; sigma_O_sq is
+localization.sigma_O_sq of each record's own spreads.  The work buffers
+(phi, psi, p psi, an FFT scratch array, |psi|^2, c0 and c1) are
+allocated once per call and every FFT and elementwise update writes into
+them through out=, so the step loop allocates no (B, n) array.  Every
+reduction is a per-row dot product, never a (B, n) @ (n, k) BLAS
+product, so a trajectory gets the same bits alone as inside any batch.
+evolve_batch is the only integrator: a single trajectory is a batch of
+one, psi0 of shape (n,) and increments of shape (1, n_steps).
 
 Noise is counter-based: NoiseStream(master_seed, trajectory_index) yields
 the increments of that trajectory as a pure function of the pair, so
@@ -69,7 +70,8 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian import GaussianState
-from .model import ModelParams, derive_constants
+from .localization import sigma_O_sq
+from .model import ModelParams
 
 RECORD_FIELDS = (
     "t", "q_mean", "p_mean", "sigma_q_sq", "sigma_p_sq", "sigma_qp_sq",
@@ -80,8 +82,8 @@ _ALIAS_FRACTION = 1e-6
 _BOUNDARY_FRACTION = 1e-8
 _NORM_FLOOR = 1e-280  # a squared norm below this has underflowed
 # the columns of evolve_batch's raw record sums
-_SUMS = ("q0", "q1", "q2", "xp_re", "xp_im", "p0", "p1", "p2", "p_alias",
-         "peak", "edge")
+_SUMS = ("q0", "q1", "q2", "xp_re", "p0", "p1", "p2", "p_alias", "peak",
+         "edge")
 
 
 @dataclass(frozen=True)
@@ -195,16 +197,17 @@ def _ifft(z, out):
     return np.fft.ifft(z, axis=-1, out=out, norm="forward")
 
 
-def _finish_records(sums, times, dx, c, mass):
+def _finish_records(sums, times, dx, p: ModelParams):
     """Records and per-record validity flags from the raw record sums,
     each a (n_records, B) array computed once for every record.
 
-    sums has the _SUMS columns: the q-sums of |psi|^2 against [1, x, x^2],
-    the real and imaginary parts of sum psi* x p psi, the p-sums of
-    |phi|^2 against [1, hbar k, (hbar k)^2, alias mask], and the peak and
-    edge of |psi|^2.  A record is flagged for spectral aliasing, boundary
-    leakage or an underflowed norm (whose moments are NaN)."""
-    q0, q1, q2, xp_re, xp_im, p0, p1, p2, p_alias, peak, edge = (
+    sums has the 10 _SUMS columns: the q-sums of |psi|^2 against
+    [1, x, x^2], the real part of sum psi* x p psi, the p-sums of |phi|^2
+    against [1, hbar k, (hbar k)^2, alias mask], and the peak and edge of
+    |psi|^2.  sigma_O_sq is localization.sigma_O_sq of the record's own
+    spreads.  A record is flagged for spectral aliasing, boundary leakage
+    or an underflowed norm (whose moments are NaN)."""
+    q0, q1, q2, xp_re, p0, p1, p2, p_alias, peak, edge = (
         np.moveaxis(sums, -1, 0))
     w = q0 * dx
     live = w > _NORM_FLOOR
@@ -213,13 +216,11 @@ def _finish_records(sums, times, dx, c, mass):
     qm, q2 = q1 * scale, q2 * scale
     pwsum = np.where(live, p0, np.nan)
     pm, p2 = p1 / pwsum, p2 / pwsum
-    xp = (xp_re + 1j * xp_im) * scale   # <q p>
-    oval = pm - c * qm
-    o2 = p2 + abs(c) ** 2 * q2 - 2.0 * (c * np.conj(xp)).real
+    var_q, var_p, cov_qp = q2 - qm * qm, p2 - pm * pm, xp_re * scale - qm * pm
     records = np.stack([
-        np.broadcast_to(times[:, None], w.shape), qm, pm, q2 - qm * qm,
-        p2 - pm * pm, xp.real - qm * pm, o2 - np.abs(oval) ** 2,
-        p2 / (2.0 * mass), w], axis=-1)
+        np.broadcast_to(times[:, None], w.shape), qm, pm, var_q, var_p,
+        cov_qp, sigma_O_sq(var_q, var_p, cov_qp, p), p2 / (2.0 * p.mass), w],
+        axis=-1)
     # a row of zero power has no tail: 0, not 0/0
     alias = p_alias / np.where(p0 > 0.0, p0, 1.0) > _ALIAS_FRACTION
     leak = edge > _BOUNDARY_FRACTION**2 * peak
@@ -306,18 +307,16 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         _SUMS); spec is the spectrum of psi divided by n, and may be
         scratch itself."""
         out = sums[slot]
-        _rowdot(_squares(spec, ppsi), pbasis, out=out[:, 5:9])
+        _rowdot(_squares(spec, ppsi), pbasis, out=out[:, 4:8])
         sq = _squares(psi, ppsi)
         np.add(sq[:, 0::2], sq[:, 1::2], out=prob)
         _rowdot(sq, qbasis, out=out[:, 0:3])
-        np.max(prob, axis=-1, out=out[:, 9])
-        np.max(prob[:, edge_cols], axis=-1, out=out[:, 10])
+        np.max(prob, axis=-1, out=out[:, 8])
+        np.max(prob[:, edge_cols], axis=-1, out=out[:, 9])
         np.multiply(spec, hbk_c, out=scratch)
         _ifft(scratch, ppsi)
         np.multiply(ppsi, x_c, out=ppsi)
-        xp = np.vecdot(psi, ppsi)
-        out[:, 3] = xp.real
-        out[:, 4] = xp.imag
+        out[:, 3] = np.vecdot(psi, ppsi).real
 
     np.multiply(phi, 1.0 / grid.n, out=scratch)
     take_record(0, scratch)
@@ -370,10 +369,7 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
             take_record(slot, scratch)
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
-    # O = p - c q with c = 2 i hbar a_inf
-    a_inf = derive_constants(p, boltzmann=1.0).a_inf
-    records, invalid = _finish_records(sums, times, dx, 2j * hb * a_inf,
-                                       p.mass)
+    records, invalid = _finish_records(sums, times, dx, p)
     np.logical_or(aborted, invalid.any(axis=0), out=aborted)
     return times, records, psi, aborted
 

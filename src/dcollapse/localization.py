@@ -1,7 +1,8 @@
 """Localization law: the contractive observable and its ensemble drift.
 
-The combination O = p - 2 i hbar a_inf q is an eigenoperator of the
-stationary Gaussian family: sigma_O^2, its variance
+The combination O = p - 2 i hbar a_inf q, defined here and nowhere else
+(the grid's sigma_O_sq records call sigma_O_sq too), is an eigenoperator
+of the stationary Gaussian family: sigma_O^2, its variance
 
     sigma_O^2 = sigma_p^2 + (sp~^2/sq~^2) sigma_q^2
                 - 2 (sqp~^2/sq~^2) sigma_qp^2 - hbar^2/(2 sq~^2)
@@ -58,12 +59,11 @@ def sigma_O_sq(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams):
     triple.
     """
     sq2, sp2, sqp2 = _bars(p)
-    hb = p.hbar
     out = (
         np.asarray(sigma_p_sq, dtype=float)
         + (sp2 / sq2) * np.asarray(sigma_q_sq, dtype=float)
         - 2.0 * (sqp2 / sq2) * np.asarray(sigma_qp_sq, dtype=float)
-        - hb * hb / (2.0 * sq2)
+        - p.hbar * p.hbar / (2.0 * sq2)
     )
     return float(out) if out.ndim == 0 else out
 

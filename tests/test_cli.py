@@ -658,6 +658,17 @@ class TestErrors:
             "stationary width to start at\n")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_gaussian_time_exits_1(self, tmp_path, capsys):
+        # the last record time t = 1e155 squares past the float range
+        path = tmp_path / "far.cfg"
+        path.write_text("dt = 1e155\nn_steps = 1\n")
+        rc = cli.main(["gaussian", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: t = 1e+155 overflows the width law\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -78,6 +78,32 @@ class TestWidthBits:
                     *ge._free_width(a, ti, mass, 1.0))
 
 
+class TestInvalidWidths:
+    # NaN fails every comparison, so "Re a <= 0" alone lets it through
+    @pytest.mark.parametrize("a", [complex(math.nan, 0.0),
+                                   np.array([0.3 + 0.1j, complex(math.nan,
+                                                                 0.0)])])
+    def test_nan_width_is_rejected(self, p_nat, a):
+        with pytest.raises(ValueError, match="Re a must be positive"):
+            ge.spreads(a, p_nat)
+        with pytest.raises(ValueError, match="Re a0 > 0"):
+            ge.a_closed_form(a, 1.0, p_nat)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_overflowing_time_raises_naming_t(self, lam):
+        # t * t overflows from t ~ 1.3e154 on; just below, the law holds
+        p = ModelParams(mass=1.0, collapse_rate=lam, momentum_coupling=0.5,
+                        hbar=1.0)
+        assert np.isfinite(ge.a_closed_form(0.3 + 0.1j, 1e153, p))
+        with pytest.raises(ValueError, match=r"t = 1e\+155"):
+            ge.a_closed_form(0.3 + 0.1j, 1e155, p)
+        with pytest.raises(ValueError, match=r"t = 1e\+155"):
+            ge.a_closed_form(0.3 + 0.1j, np.array([0.0, 1.0, 1e155]), p)
+        # an infinite start is refused as such, not blamed on t
+        with pytest.raises(ValueError, match="a0 must be finite"):
+            ge.a_closed_form(complex(math.inf, 0.0), 0.0, p)
+
+
 class TestLaboratoryScale:
     """a_closed_form held to the 80-digit law on SI couplings, where Re a_t
     is a small difference of the free-spreading terms."""

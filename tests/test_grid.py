@@ -99,8 +99,8 @@ class TestMoments:
         assert rec["norm_sq"] == pytest.approx(1.0, rel=1e-12)
 
     def test_sigma_O_agrees_with_moment_formula(self, grid, p_nat, d_nat):
-        # the operator-level variance recorded on the grid must equal the
-        # closed expression in the second moments, and the pure-state value
+        # the recorded variance is localization's formula of the record's
+        # own spreads, bit for bit, and the pure-state value
         for a in (0.8 + 0.3j, 0.4 - 0.5j, complex(d_nat.a_inf)):
             g = ge.GaussianState(a=a, xbar=0.7, kbar=-0.2)
             psi = gr.build_gaussian(grid, g)
@@ -109,10 +109,14 @@ class TestMoments:
                                         rec["sigma_qp_sq"], p_nat)
             pure = 4.0 * p_nat.hbar ** 2 * abs(a - complex(d_nat.a_inf)) ** 2 \
                 * rec["sigma_q_sq"]
-            assert rec["sigma_O_sq"] == pytest.approx(via_moments, rel=1e-8,
-                                                      abs=1e-10)
+            assert rec["sigma_O_sq"] == via_moments
             assert rec["sigma_O_sq"] == pytest.approx(pure, rel=1e-8,
                                                       abs=1e-10)
+        # at lam = 0 there is no stationary width, and O is p itself
+        psi = gr.build_gaussian(grid, ge.GaussianState(a=0.8 + 0.3j))
+        rec = initial_record(psi, grid, FREE)
+        assert math.isfinite(rec["sigma_O_sq"])
+        assert rec["sigma_O_sq"] == rec["sigma_p_sq"]
 
     def test_normalization_is_divided_out(self, grid, p_nat):
         g = ge.GaussianState(a=0.8 + 0.3j, xbar=-0.4, kbar=0.6)
