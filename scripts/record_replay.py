@@ -10,10 +10,13 @@ dense minus the sparse run over the extra records gives the cost of a
 record; the dense run over its steps gives the cost of a recorded step.
 A round's reading of each run is the fastest of 3.  The default shape is
 the dense-record benchmark workload's: two packets (weights 0.3 and 0.7)
-on n = 512 points, a batch of 32 nonlinear trajectories at dt = 0.005.  Prints, in microseconds per trajectory, the median per side,
-the median ratio head / base and the rounds head won, and the largest
-difference between the two sides' records; --json writes that with the
-quartiles and the per-round readings.
+on n = 512 points, a batch of 32 trajectories at dt = 0.005, of the
+nonlinear equation unless --equation linear.  Prints, in microseconds per
+trajectory, the median per side, the median ratio head / base and the
+rounds head won; then whether the two sides' times, records, final states
+and abort flags are byte-identical in both runs, and the largest difference
+between their finite records.  --json writes that with the quartiles and
+the per-round readings.
 
     python scripts/record_replay.py --base /path/to/base/src --rounds 15
 """
@@ -56,6 +59,8 @@ def main():
     ap.add_argument("--batch", type=int, default=32)
     ap.add_argument("--steps", type=int, default=40)
     ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--equation", choices=("nonlinear", "linear"),
+                    default="nonlinear")
     ap.add_argument("--json")
     args = ap.parse_args()
 
@@ -77,7 +82,8 @@ def main():
 
     def replay(side, every):
         return sides[side].grid.evolve_batch(
-            psi, grids[side], p, DT, args.steps, incr, record_every=every)
+            psi, grids[side], p, DT, args.steps, incr,
+            equation=args.equation, record_every=every)
 
     def seconds(side, every):
         best = math.inf
@@ -102,18 +108,27 @@ def main():
             readings[side]["dense_step_us"].append(
                 dense / args.steps * per_traj)
 
-    recs = {side: replay(side, 1)[1] for side in sides}
+    # (times, records, final states, abort flags) of the sparse and the
+    # dense run
+    outs = {side: [replay(side, every) for every in (args.steps, 1)]
+            for side in sides}
+    identical = all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for run_base, run_head in zip(outs["base"], outs["head"])
+        for a, b in zip(run_base, run_head))
+    recs = {side: outs[side][1][1] for side in sides}
     both = np.isfinite(recs["base"]) & np.isfinite(recs["head"])
     result = {
         "shape": {"n": args.n, "batch": args.batch, "steps": args.steps,
-                  "dt": DT, "rounds": args.rounds, "repeats": REPEATS,
-                  "seed": SEED},
+                  "dt": DT, "equation": args.equation, "rounds": args.rounds,
+                  "repeats": REPEATS, "seed": SEED},
+        "identical": identical,
         "max_abs_record_diff": float(np.max(
             np.abs(recs["base"] - recs["head"]), where=both, initial=0.0)),
         "rounds": readings,
     }
     print(f"n = {args.n}, B = {args.batch}, {args.steps} steps, "
-          f"{args.rounds} rounds; us per trajectory")
+          f"{args.equation}, {args.rounds} rounds; us per trajectory")
     for key in keys:
         base, head = readings["base"][key], readings["head"][key]
         ratios = [h / b for b, h in zip(base, head)]
@@ -126,6 +141,7 @@ def main():
               f"{statistics.median(head):7.2f}  ratio "
               f"{statistics.median(ratios):.3f}  head won {wins}/"
               f"{args.rounds}")
+    print(f"identical {identical}")
     print(f"max |record difference| {result['max_abs_record_diff']:.2e}")
     if args.json:
         with open(args.json, "w") as f:

@@ -31,6 +31,7 @@ alpha = 0 to saturation through the cancellation-safe kernels in
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ class GaussianState:
     kbar: float = 0.0
 
     def __post_init__(self):
-        if not complex(self.a).real > 0.0:
-            raise ValueError("Re a must be positive for a normalizable state")
+        a = complex(self.a)
+        if not (cmath.isfinite(a) and a.real > 0.0):
+            raise ValueError("Re a must be positive and a finite for a "
+                             "normalizable state")
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,8 @@ def spreads(a, p: ModelParams):
     uncertainty relation is saturated exactly when a is real.
     """
     a = np.asarray(a, dtype=complex)
-    if not np.all(a.real > 0.0):   # NaN included
-        raise ValueError("Re a must be positive")
+    if not np.all(np.isfinite(a) & (a.real > 0.0)):
+        raise ValueError("Re a must be positive and a finite")
     ar, ai = a.real, a.imag
     hb = p.hbar
     sq = 0.5 / np.sqrt(ar)

@@ -47,25 +47,32 @@ mask] and of |psi|^2 with [1, x, x^2], the real part of sum psi* x p psi,
 and the peak and edge of |psi|^2.  The moments, the energy and the
 aliasing, leak and underflow flags follow from those sums once, after
 the loop, for every record at once; sigma_O_sq is
-localization.sigma_O_sq of each record's own spreads.  The work buffers
-(phi, psi, p psi, an FFT scratch array, |psi|^2, c0 and c1) are
-allocated once per call and every FFT and elementwise update writes into
-them through out=, so the step loop allocates no (B, n) array.  Every
-reduction is a per-row dot product, never a (B, n) @ (n, k) BLAS
-product, so a trajectory gets the same bits alone as inside any batch.
-evolve_batch is the only integrator: a single trajectory is a batch of
-one, psi0 of shape (n,) and increments of shape (1, n_steps).
+localization.sigma_O_sq of each record's own spreads.  Four (B, n) work
+arrays, phi, psi, p psi and c0 and c1 (one real (2, B, n) array), are
+allocated once per call.  Every FFT and elementwise update writes into
+them through out=, and every FFT whose input is not read again runs in
+place: all but a step's psi = ifft(phi), whose phi feeds the kappa term.
+c0 and c1's memory first takes the squares of the nonlinear centre and of
+a record, and p psi's the record's |psi|^2, so the step loop allocates no
+(B, n) array.  Every reduction is a per-row dot product, never a
+(B, n) @ (n, k) BLAS product, so a trajectory gets the same bits alone as
+inside any batch.  evolve_batch is the only integrator: a single
+trajectory is a batch of one, psi0 of shape (n,) and increments of shape
+(1, n_steps).
 
 Noise is counter-based: NoiseStream(master_seed, trajectory_index) yields
 the increments of that trajectory as a pure function of the pair, so
 ensembles can be partitioned across workers without changing any draw.
+It draws them from one private Philox, re-keyed to the pair for each
+call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -114,25 +121,43 @@ class Grid:
         return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
+_NOISE_LOCK = threading.Lock()
+
+
+@cache
+def _private_philox():
+    """NoiseStream's own Philox and a Generator on it, re-keyed for every
+    draw: a fresh Philox(key=...) first draws OS entropy that its key then
+    overrides.  Built on first use, as numpy.random is a large import."""
+    bits = np.random.Philox(0)
+    return bits, np.random.Generator(bits)
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Counter-based Gaussian increments for one trajectory.
 
     increment j is a pure function of (master_seed, trajectory_index, j),
-    independent of how many trajectories run or on which worker.
+    independent of how many trajectories run or on which worker: the draws
+    of Generator(Philox(key=[master_seed, trajectory_index])).
     """
 
     master_seed: int
     trajectory_index: int
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.trajectory_index],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     def increments(self, n_steps: int, dt: float) -> np.ndarray:
         """Brownian increments over n_steps intervals of width dt."""
-        return self.generator().standard_normal(n_steps) * math.sqrt(dt)
+        # the state of a fresh Philox(key=key): counter 0, buffer empty
+        key = (self.master_seed, self.trajectory_index)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": (0, 0, 0, 0), "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        with _NOISE_LOCK:
+            bits, gen = _private_philox()
+            bits.state = state
+            normals = gen.standard_normal(n_steps)
+        return normals * math.sqrt(dt)
 
 
 def grid_norm_sq(psi: np.ndarray, grid: Grid):
@@ -242,8 +267,9 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     moments) are checked on every recorded state, all at once after the
     loop.  A flagged trajectory's subsequent records are not meaningful.
 
-    The (B, n) work buffers are allocated once per call and every FFT and
-    elementwise update writes into them, so the step loop allocates no
+    Four (B, n) work arrays (phi, psi, p psi and c0/c1) are allocated once
+    per call; every FFT and elementwise update writes into them, in place
+    wherever its input is not read again, so the step loop allocates no
     (B, n) array.  A record stores raw row sums only.  psi0 and increments
     are not modified, and final_psi and records are arrays of this call
     alone.
@@ -286,12 +312,14 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
 
     # phi carries the state after each step's interaction update, so that
     # the trailing kinetic half-step merges with the next leading one;
-    # ppsi holds i beta p psi in a step and x p psi in a record, and the
-    # _squares go to scratch in a step and to ppsi in a record
+    # ppsi holds i beta p psi in a step and x p psi in a record.  c01,
+    # viewed as a (B, 2n) real array, takes the _squares before c0 and c1
+    # are written, and ppsi takes |psi|^2 once <xp> is taken
     phi = np.fft.fft(psi, axis=-1)
-    ppsi, scratch = np.empty_like(psi), np.empty_like(psi)
-    prob = np.empty(psi.shape)
+    ppsi = np.empty_like(psi)
     c0, c1 = c01 = np.empty((2, n_batch, grid.n))
+    squares = c01.reshape(n_batch, 2 * grid.n)
+    prob = ppsi.view(float)[:, :grid.n]
     # per-row coefficients of c0 and c1; the fixed ones are set here
     coeffs = np.zeros((n_batch, 2, 3))
     coeffs[:, 0, 2] = 1.0
@@ -303,33 +331,35 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
     aborted = np.zeros(n_batch, dtype=bool)
 
     def take_record(slot, spec):
-        """Write the raw sums of the state in psi into slot (columns as in
-        _SUMS); spec is the spectrum of psi divided by n, and may be
-        scratch itself."""
+        """Write the raw sums of the recorded state into slot (columns as
+        in _SUMS); spec is its spectrum divided by n, either in ppsi, with
+        the state in psi, or in psi, which it turns into the state."""
         out = sums[slot]
-        _rowdot(_squares(spec, ppsi), pbasis, out=out[:, 4:8])
-        sq = _squares(psi, ppsi)
-        np.add(sq[:, 0::2], sq[:, 1::2], out=prob)
+        _rowdot(_squares(spec, squares), pbasis, out=out[:, 4:8])
+        np.multiply(spec, hbk_c, out=ppsi)
+        _ifft(ppsi, ppsi)
+        if spec is psi:
+            _ifft(psi, psi)
+        sq = _squares(psi, squares)
         _rowdot(sq, qbasis, out=out[:, 0:3])
-        np.max(prob, axis=-1, out=out[:, 8])
-        np.max(prob[:, edge_cols], axis=-1, out=out[:, 9])
-        np.multiply(spec, hbk_c, out=scratch)
-        _ifft(scratch, ppsi)
         np.multiply(ppsi, x_c, out=ppsi)
         out[:, 3] = np.vecdot(psi, ppsi).real
+        np.add(sq[:, 0::2], sq[:, 1::2], out=prob)
+        np.max(prob, axis=-1, out=out[:, 8])
+        np.max(prob[:, edge_cols], axis=-1, out=out[:, 9])
 
-    np.multiply(phi, 1.0 / grid.n, out=scratch)
-    take_record(0, scratch)
+    np.multiply(phi, 1.0 / grid.n, out=ppsi)
+    take_record(0, ppsi)
     prev_norm = sums[0, :, 0] * dx   # the linear growth check's reference
     slot = 1
     for step in range(1, n_steps + 1):
         np.multiply(phi, half if step == 1 else full, out=phi)
         _ifft(phi, psi)
-        np.multiply(phi, ibp, out=scratch)
-        _ifft(scratch, ppsi)
+        np.multiply(phi, ibp, out=ppsi)
+        _ifft(ppsi, ppsi)
         kick = root_lam * increments[:, step - 1]
         if nonlinear:
-            q01 = _rowdot(_squares(psi, scratch), qbasis[:2])
+            q01 = _rowdot(_squares(psi, squares), qbasis[:2])
             # a zero row keeps r = 0 instead of 0/0; its norm aborts it
             r = q01[:, 1] / np.where(q01[:, 0] > 0.0, q01[:, 0], 1.0)
         else:
@@ -347,8 +377,8 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
         np.multiply(ppsi, c1, out=ppsi)
         np.add(psi, ppsi, out=psi)
         np.multiply(phi, kappa, out=phi)
-        np.fft.fft(psi, axis=-1, out=scratch)
-        np.subtract(scratch, phi, out=phi)
+        np.fft.fft(psi, axis=-1, out=psi)
+        np.subtract(psi, phi, out=phi)
         n2 = np.vecdot(phi, phi).real * parseval
         bad = ~np.isfinite(n2)
         if nonlinear:
@@ -364,9 +394,8 @@ def evolve_batch(psi0, grid: Grid, p: ModelParams, dt: float, n_steps: int,
                 phi[bad] = 0.0
         np.logical_or(aborted, bad, out=aborted)
         if step == rec_steps[slot]:
-            np.multiply(phi, half, out=scratch)
-            _ifft(scratch, psi)
-            take_record(slot, scratch)
+            np.multiply(phi, half, out=psi)
+            take_record(slot, psi)
             slot += 1
     times = np.asarray(rec_steps, dtype=float) * dt
     records, invalid = _finish_records(sums, times, dx, p)

@@ -32,15 +32,17 @@ def read_csv(path):
 class TestImport:
     def test_cli_imports_no_scipy(self):
         # scipy is a test dependency only, the process pool is imported by
-        # a run with more than one worker, and the series tables need no
-        # rational arithmetic; importing any of them would slow the
-        # start-up and grow the resident memory of every command
+        # a run with more than one worker, numpy.random by the first noise
+        # draw, and the series tables need no rational arithmetic;
+        # importing any of them would slow the start-up and grow the
+        # resident memory of every command
         root = os.path.dirname(os.path.dirname(dcollapse.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])))
         code = ("import sys, dcollapse.cli; print(sorted(m for m in "
                 "sys.modules if m.split('.')[0] in ('scipy', "
-                "'multiprocessing', 'concurrent', 'fractions')))")
+                "'multiprocessing', 'concurrent', 'fractions') or "
+                "m.startswith('numpy.random')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

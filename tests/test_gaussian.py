@@ -89,6 +89,22 @@ class TestInvalidWidths:
         with pytest.raises(ValueError, match="Re a0 > 0"):
             ge.a_closed_form(a, 1.0, p_nat)
 
+    # "Re a > 0" holds for inf, whose spreads would be NaN or infinite
+    @pytest.mark.parametrize("a", [complex(math.inf, 0.0),
+                                   complex(1.0, math.inf),
+                                   np.array([0.3 + 0.1j, complex(math.inf,
+                                                                 0.0)])])
+    def test_infinite_width_is_rejected(self, p_nat, a):
+        with pytest.raises(ValueError, match="a finite"):
+            ge.spreads(a, p_nat)
+        if np.ndim(a) == 0:
+            with pytest.raises(ValueError, match="a finite"):
+                ge.GaussianState(a=a)
+
+    def test_nan_state_is_rejected(self):
+        with pytest.raises(ValueError, match="Re a must be positive"):
+            ge.GaussianState(a=complex(0.3, math.nan))
+
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_overflowing_time_raises_naming_t(self, lam):
         # t * t overflows from t ~ 1.3e154 on; just below, the law holds

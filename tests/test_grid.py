@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -76,6 +78,47 @@ class TestNoiseStream:
         base = gr.NoiseStream(11, 3).increments(16, 0.02)
         assert not np.array_equal(base, gr.NoiseStream(11, 4).increments(16, 0.02))
         assert not np.array_equal(base, gr.NoiseStream(12, 3).increments(16, 0.02))
+
+    @pytest.mark.parametrize("seed", [0, 2025, 2**64 - 1])
+    def test_draws_of_a_fresh_philox(self, seed):
+        # the stream re-keys one generator; its draws are still those of a
+        # fresh Philox keyed by the pair, however the calls interleave
+        for index in (0, 1, 12, 2**63, 2**64 - 1):
+            for n_steps in (0, 1, 5, 100):
+                key = np.array([seed, index], dtype=np.uint64)
+                want = np.random.Generator(np.random.Philox(key=key)) \
+                    .standard_normal(n_steps) * math.sqrt(0.02)
+                got = gr.NoiseStream(seed, index).increments(n_steps, 0.02)
+                assert got.tobytes() == want.tobytes()
+
+    def test_threads_share_the_generator_safely(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a re-key landing between another thread's re-key and
+        # draw would hand that thread the wrong trajectory's normals
+        want = {i: gr.NoiseStream(3, i).increments(50, 0.01)
+                for i in range(8)}
+        failures = []
+
+        def draw(offset):
+            for rep in range(300):
+                i = (offset + rep) % 8
+                got = gr.NoiseStream(3, i).increments(50, 0.01)
+                if not np.array_equal(got, want[i]):
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
     def test_same_normals_under_dt_rescale(self):
         a = gr.NoiseStream(5, 0).increments(8, 0.01)
@@ -447,6 +490,27 @@ class TestBuffers:
             tracemalloc.stop()
         assert not aborted.any()
         assert peak < 0.5 * inc.nbytes
+
+    def test_four_work_arrays(self, p_nat, packet):
+        # phi, psi, p psi and c0/c1 (two real arrays) are the only (B, n)
+        # arrays of a call; the FFTs of inputs not read again run in place
+        small = gr.Grid(-16.0, 16.0, 256)
+        n_batch, n_steps, dt = 64, 40, 0.01
+        psi0 = np.broadcast_to(gr.build_gaussian(small, packet),
+                               (n_batch, small.n)).copy()
+        inc = np.stack([gr.NoiseStream(9, i).increments(n_steps, dt)
+                        for i in range(n_batch)])
+        run = dict(record_every=n_steps)
+        gr.evolve_batch(psi0, small, p_nat, dt, n_steps, inc, **run)
+        tracemalloc.start()
+        try:
+            _, _, _, aborted = gr.evolve_batch(psi0, small, p_nat, dt,
+                                               n_steps, inc, **run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not aborted.any()
+        assert peak < 5 * psi0.nbytes
 
 
 class TestRecordSteps:

@@ -20,14 +20,19 @@ def run_script(name, *argv):
 
 class TestScripts:
     def test_record_replay(self, tmp_path):
-        # this tree against itself: both sides load and give equal records
-        out = run_script("record_replay.py", "--base",
-                         os.path.join(ROOT, "src"), "--n", "64", "--batch",
-                         "2", "--steps", "4", "--rounds", "2", "--json",
-                         str(tmp_path / "replay.json"))
-        assert out.returncode == 0, out.stderr
-        assert "record_us" in out.stdout
-        with open(tmp_path / "replay.json") as f:
-            result = json.load(f)
-        assert result["max_abs_record_diff"] == 0.0
-        assert len(result["rounds"]["head"]["step_us"]) == 2
+        # this tree against itself: both sides load and give the same bits
+        for equation in ("nonlinear", "linear"):
+            report = tmp_path / f"{equation}.json"
+            out = run_script("record_replay.py", "--base",
+                             os.path.join(ROOT, "src"), "--n", "64",
+                             "--batch", "2", "--steps", "4", "--rounds", "2",
+                             "--equation", equation, "--json", str(report))
+            assert out.returncode == 0, out.stderr
+            assert "record_us" in out.stdout
+            assert "identical True" in out.stdout
+            with open(report) as f:
+                result = json.load(f)
+            assert result["shape"]["equation"] == equation
+            assert result["identical"] is True
+            assert result["max_abs_record_diff"] == 0.0
+            assert len(result["rounds"]["head"]["step_us"]) == 2
