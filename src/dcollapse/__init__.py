@@ -27,7 +27,7 @@ from .gaussian import (GaussianState, SpreadTriple, a_closed_form, spreads,
 from .grid import (RECORD_FIELDS, Grid, NoiseStream, build_gaussian,
                    build_superposition, evolve_batch)
 from .master import CharCoefficients, coeff_flow, position_density
-from .localization import drift_prediction, sigma_O_sq, stationarity_residuals
+from .localization import drift_prediction, sigma_O_sq
 from .ensemble import (EnsembleSummary, ExperimentConfig, compare_to_master,
                        run_ensemble)
 
@@ -43,7 +43,7 @@ __all__ = [
     "RECORD_FIELDS", "Grid", "NoiseStream", "build_gaussian",
     "build_superposition", "evolve_batch",
     "CharCoefficients", "coeff_flow", "position_density",
-    "drift_prediction", "sigma_O_sq", "stationarity_residuals",
+    "drift_prediction", "sigma_O_sq",
     "EnsembleSummary", "ExperimentConfig", "compare_to_master",
     "run_ensemble",
     "__version__",

@@ -339,9 +339,24 @@ def _verify_checks(cfg) -> dict:
     rng = np.random.default_rng(cfg.master_seed)
     checks = {}
 
-    res = loc.stationarity_residuals(p)
+    # the constants are the width law's fixed point: its right-hand side
+    # vanishes at a_inf (each part relative to its real monomials' sizes),
+    # its slope there is omega1 + i omega2, and the bars are a_inf's spreads
+    ar, ai = d.a_inf.real, d.a_inf.imag
+    g, k = 4.0 * lam * al, 4.0 * hb / m
+    bars = ge.spreads(d.a_inf, p)
+    gaps, sizes = np.array([
+        (k * ar * ai - g * ar + lam, abs(k * ar * ai) + g * ar + lam),
+        (0.5 * k * (ai * ai - ar * ar) - g * ai,
+         0.5 * k * (ar * ar + ai * ai) + g * abs(ai)),
+        (g - k * ai - d.omega1, g + k * abs(ai)),
+        (k * ar - d.omega2, k * ar),
+        (bars.sigma_q - d.sigma_q_bar, d.sigma_q_bar),
+        (bars.sigma_p - d.sigma_p_bar, d.sigma_p_bar),
+        (bars.sigma_qp_sq - d.sigma_qp_bar_sq, abs(d.sigma_qp_bar_sq)),
+    ]).T
     checks["stationary_identities"] = {
-        "max_residual": max(abs(res.drift), abs(res.mixed), abs(res.uncertainty)),
+        "max_residual": float(np.max(_relative(np.abs(gaps), sizes))),
         "tol": 1e-9,
     }
 

@@ -16,7 +16,9 @@ the squared norm of (O - <O>) psi.  Its ensemble mean contracts:
         + (hbar^2 / 4 sq~^4)(sigma_q^2 - sq~^2)^2 ]   (evaluated in mean),
 
 so every trajectory is driven toward the stationary width regardless of the
-noise realization.  drift_prediction evaluates the bracket.
+noise realization.  drift_prediction evaluates the bracket.  The bars are
+the spreads of a_inf, where the width law's slope is -r (`model`), and the
+first term contracts sigma_O^2 at the rate 4 lam sq~^2 = omega1 = Re r.
 
 On a single Gaussian the law is exact: its spreads are fixed functions of
 its width a, so E[sigma_O^2] is sigma_O^2 itself.  `dcollapse verify` holds
@@ -27,22 +29,9 @@ vanish at a_inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ModelParams, derive_constants
-
-
-@dataclass(frozen=True)
-class StationarityResiduals:
-    """Relative residuals of the three stationary-spread identities:
-    the width drift balance, the mixed product rule, and the uncertainty
-    product.  All should vanish to rounding."""
-
-    drift: float
-    mixed: float
-    uncertainty: float
 
 
 def _bars(p: ModelParams):
@@ -84,21 +73,4 @@ def drift_prediction(sigma_q_sq, sigma_p_sq, sigma_qp_sq, p: ModelParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def stationarity_residuals(p: ModelParams) -> StationarityResiduals:
-    """Check that the derived stationary spreads satisfy their defining
-    identities.  Returns relative residuals (zero up to rounding)."""
-    sq2, sp2, sqp2 = _bars(p)
-    lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
-    quarter = 0.25 * hb * hb
-    drift = (sqp2 / m - 2.0 * lam * sq2 * sq2 + 2.0 * al * lam * sq2) / (
-        2.0 * lam * sq2 * sq2
-    )
-    mixed = (sqp2 * sqp2 + al * sp2 - quarter) / quarter
-    uncertainty = (sq2 * sp2 - sqp2 * sqp2 - quarter) / quarter
-    return StationarityResiduals(drift=drift, mixed=mixed, uncertainty=uncertainty)
-
-
-__all__ = [
-    "StationarityResiduals", "sigma_O_sq", "drift_prediction",
-    "stationarity_residuals",
-]
+__all__ = ["sigma_O_sq", "drift_prediction"]

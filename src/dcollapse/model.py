@@ -12,13 +12,17 @@ are the same for every object:
 with m_0 the nucleon mass and the base couplings from `constants`.  For
 the centre of mass of a composite, scale_parameters takes the total
 mass.  derive_constants evaluates the stationary regime of the single
-trajectory dynamics: the complex relaxation frequency, the attracting width
-parameter a_inf of Gaussian solutions, the stationary spreads, and the
-asymptotic ensemble energy and temperature.
+trajectory dynamics from two numbers: the rate r = sqrt(16 (lam alpha)^2 +
+8 i hbar lam / m) on the principal root, minus the slope of the Gaussian
+width law of `gaussian` at its attracting fixed point, and that fixed point
+a_inf = 2 lam / (4 lam alpha + r), written so that nothing cancels.  The
+stationary spreads are those of a_inf; the asymptotic ensemble energy and
+temperature follow from the couplings alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,10 +57,11 @@ class ModelParams:
 class DerivedConstants:
     """Stationary-regime constants for a given ModelParams.
 
-    omega, theta:    modulus/phase of the relaxation rate; the complex decay
-                     frequency is omega1 + i*omega2 = sqrt(2)*omega*e^{i theta}
-    kappa:           dissipation ratio 2*sqrt(2)*lam*alpha/omega
-    a_inf:           attracting fixed point of the Gaussian width parameter
+    omega1, omega2:  r = omega1+i*omega2, minus the width law's slope at a_inf
+    omega, theta:    |r| / sqrt(2) and arg r
+    kappa:           dissipation ratio 4*lam*alpha/|r|
+    a_inf:           attracting fixed point of the Gaussian width parameter;
+                     the three spreads below are those of a width a_inf
     sigma_q_bar:     stationary position spread
     sigma_p_bar:     stationary momentum spread
     sigma_qp_bar_sq: stationary symmetrized correlation (a square by name,
@@ -112,18 +117,9 @@ def derive_constants(p: ModelParams, boltzmann: float = BOLTZMANN) -> DerivedCon
             energy_inf=math.inf, temperature=math.inf,
         )
 
-    omega = 2.0 * (4.0 * (lam * al) ** 4 + lam**2 * hb**2 / m**2) ** 0.25
-    theta = 0.5 * math.atan2(hb, 2.0 * lam * al**2 * m)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    omega1 = _SQRT2 * omega * cos_t
-    omega2 = _SQRT2 * omega * sin_t
-    kappa = 2.0 * _SQRT2 * lam * al / omega
-    a_inf = (m * omega / (2.0 * _SQRT2 * hb)) * complex(sin_t, -(cos_t - kappa))
-    sigma_q_sq = hb / (_SQRT2 * m * omega * sin_t)
-    sigma_p_sq = (hb * m * omega / (2.0 * _SQRT2)) * (
-        (sin_t**2 + (cos_t - kappa) ** 2) / sin_t
-    )
-    sigma_qp_sq = 0.5 * hb * (cos_t - kappa) / sin_t
+    r = cmath.sqrt(complex(16.0 * (lam * al) ** 2, 8.0 * hb * lam / m))
+    a_inf = 2.0 * lam / (4.0 * lam * al + r)
+    ar, ai = a_inf.real, a_inf.imag
     if al > 0.0:
         energy_inf = hb**2 / (8.0 * m * al)
         temperature = hb**2 / (4.0 * m * al * boltzmann)
@@ -131,11 +127,12 @@ def derive_constants(p: ModelParams, boltzmann: float = BOLTZMANN) -> DerivedCon
         energy_inf = math.inf
         temperature = math.inf
     return DerivedConstants(
-        omega=omega, theta=theta, omega1=omega1, omega2=omega2,
-        kappa=kappa, a_inf=a_inf,
-        sigma_q_bar=math.sqrt(sigma_q_sq),
-        sigma_p_bar=math.sqrt(sigma_p_sq),
-        sigma_qp_bar_sq=sigma_qp_sq,
+        omega=abs(r) / _SQRT2, theta=cmath.phase(r),
+        omega1=r.real, omega2=r.imag, kappa=4.0 * lam * al / abs(r),
+        a_inf=a_inf, sigma_q_bar=0.5 / math.sqrt(ar),
+        # |a|^2 / Re a without |a|^2, which underflows once |a| < 1e-154
+        sigma_p_bar=hb * math.sqrt(ar + ai * (ai / ar)),
+        sigma_qp_bar_sq=-0.5 * hb * ai / ar,
         energy_inf=energy_inf, temperature=temperature,
     )
 

@@ -26,6 +26,12 @@ here are kept only as oracles:
   exact values of its float inputs, with the spreads of its result.  At
   laboratory scale Re a_t can sit 20 orders of magnitude below |a_t|, and
   80 digits keep it to far below double precision.
+- `constants_80_digits` is the trig route to the stationary constants,
+  a_inf = (m omega / 2 sqrt(2) hbar)(sin theta - i (cos theta - kappa)),
+  in `mpmath` at 80 digits.  `derive_constants` takes the attracting root
+  2 lam / (4 lam alpha + r) of the Riccati fixed point instead, which no
+  cancellation touches; in double precision the trig route loses
+  cos theta - kappa once lam alpha^2 m / hbar >> 1.
 - `wavefunction` is the normalized complex Gaussian psi(x) itself.  The
   grid builds packets normalized on the grid instead, and the `free`
   density route takes |psi|^2 as a normal density.
@@ -99,6 +105,34 @@ def width_80_digits(a0: complex, t: float, p: ModelParams):
         ar, ai = a.real, a.imag
         return a, (1 / (2 * mpmath.sqrt(ar)), hb * mpmath.sqrt(abs(a) ** 2 / ar),
                    -hb * ai / (2 * ar))
+
+
+def constants_80_digits(p: ModelParams):
+    """The stationary constants of p by the trig route, a DerivedConstants
+    of mpmath numbers at 80 digits (lam > 0, k_B = 1): omega and theta from
+    the fourth root and half-angle of 16 (lam alpha)^2 + 8 i hbar lam / m,
+    kappa = 2 sqrt(2) lam alpha / omega, and
+    a_inf = (m omega / 2 sqrt(2) hbar)(sin theta - i (cos theta - kappa)),
+    with its spreads.  cos theta - kappa cancels once lam alpha^2 m / hbar
+    >> 1, but 80 digits keep it to far below double precision on every
+    parameter set the tests use."""
+    with mpmath.workdps(80):
+        lam, al, m, hb = (mpmath.mpf(v) for v in (
+            p.collapse_rate, p.momentum_coupling, p.mass, p.hbar))
+        root2 = mpmath.sqrt(2)
+        omega = 2 * (4 * (lam * al) ** 4 + lam**2 * hb**2 / m**2) ** 0.25
+        theta = mpmath.atan2(hb, 2 * lam * al**2 * m) / 2
+        sin_t, cos_t = mpmath.sin(theta), mpmath.cos(theta)
+        kappa = 2 * root2 * lam * al / omega
+        a = (m * omega / (2 * root2 * hb)) * mpmath.mpc(sin_t, -(cos_t - kappa))
+        energy = hb**2 / (8 * m * al) if al > 0 else mpmath.inf
+        return DerivedConstants(
+            omega=omega, theta=theta, omega1=root2 * omega * cos_t,
+            omega2=root2 * omega * sin_t, kappa=kappa, a_inf=a,
+            sigma_q_bar=1 / (2 * mpmath.sqrt(a.real)),
+            sigma_p_bar=hb * mpmath.sqrt(abs(a) ** 2 / a.real),
+            sigma_qp_bar_sq=-hb * a.imag / (2 * a.real),
+            energy_inf=energy, temperature=2 * energy)
 
 
 def wavefunction(g: GaussianState, x):

@@ -12,13 +12,13 @@ import pytest
 
 import dcollapse
 from dcollapse import cli
-from dcollapse import localization as loc
 from dcollapse.constants import NUCLEON_MASS
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
 from dcollapse.grid import RECORD_FIELDS
 from dcollapse.model import derive_constants, scale_parameters
 
 from conftest import write_config
+from reference_closed_forms import constants_80_digits
 
 
 def read_csv(path):
@@ -135,6 +135,24 @@ class TestConstants:
         assert rc == 0
         with open(tmp_path / "constants.json") as f:
             assert json.load(f)["mass"] == mass
+
+    def test_tiny_collapse_rate(self, tmp_path):
+        # lam^2 underflows to 0 here; a_inf is still the oracle's
+        path = tmp_path / "tiny.cfg"
+        path.write_text("collapse_rate = 1e-300\n")
+        for command in ("constants", "gaussian"):
+            rc = cli.main([command, "--config", str(path),
+                           "--out", str(tmp_path)])
+            assert rc == 0
+        with open(tmp_path / "constants.csv") as f:
+            vals = dict(line.strip().split(",") for line in f.readlines()[2:])
+        ref = constants_80_digits(ExperimentConfig(
+            collapse_rate=1e-300).params()).a_inf
+        for got, want in ((vals["a_inf_real"], ref.real),
+                          (vals["a_inf_imag"], ref.imag)):
+            assert abs(float(got) - want) < 2e-15 * abs(want)
+        _, _, body = read_csv(str(tmp_path / "gaussian.csv"))
+        assert np.all(np.isfinite(body))
 
 
 class TestTables:
@@ -738,15 +756,34 @@ class TestVerify:
             assert 0.0 < checks[name]["max_residual"] < checks[name]["tol"]
 
     def test_failing_check_exits_2(self, tmp_path, capsys, monkeypatch):
-        broken = loc.StationarityResiduals(drift=1.0, mixed=0.0,
-                                           uncertainty=0.0)
-        monkeypatch.setattr(cli.loc, "stationarity_residuals",
-                            lambda p: broken)
+        self._patch_constant(monkeypatch, "a_inf", 1e-8)
         self._fails_only("stationary_identities", tmp_path, capsys)
         with open(tmp_path / "verify.json") as f:
             report = json.load(f)
         assert report["passed"] is False
         assert report["checks"]["stationary_identities"]["passed"] is False
+
+    @staticmethod
+    def _patch_constant(monkeypatch, field, k):
+        """Scale one field of every DerivedConstants verify derives by
+        1 + k."""
+        exact = cli.derive_constants
+
+        def scaled(p, boltzmann=cli.BOLTZMANN):
+            d = exact(p, boltzmann)
+            return dataclasses.replace(d, **{field: getattr(d, field) * (1 + k)})
+
+        monkeypatch.setattr(cli, "derive_constants", scaled)
+
+    @pytest.mark.parametrize("field, k", [
+        ("omega1", 1e-6), ("omega2", 1e-6), ("sigma_qp_bar_sq", 1e-6)])
+    def test_scaled_constant_fails_only_the_stationary_check(
+            self, tmp_path, capsys, monkeypatch, field, k):
+        # the constants are the width law's fixed point: a_inf zeroes its
+        # right-hand side, omega1 + i omega2 is its slope there, and the
+        # bars are the spreads of a_inf
+        self._patch_constant(monkeypatch, field, k)
+        self._fails_only("stationary_identities", tmp_path, capsys)
 
     def test_energy_law_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # the paper's energy law, off by one part in 1e6, fails the check

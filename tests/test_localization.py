@@ -105,28 +105,6 @@ class TestDrift:
         assert lo.drift_prediction(q2, p2, qp2, p_nat) <= 1e-12 * scale
 
 
-class TestStationarityResiduals:
-    def test_natural_units(self, p_nat):
-        res = lo.stationarity_residuals(p_nat)
-        assert abs(res.drift) < 1e-9
-        assert abs(res.mixed) < 1e-9
-        assert abs(res.uncertainty) < 1e-9
-
-    def test_nucleon_scale(self, p_si):
-        res = lo.stationarity_residuals(p_si)
-        assert abs(res.drift) < 1e-9
-        assert abs(res.mixed) < 1e-9
-        assert abs(res.uncertainty) < 1e-9
-
-    def test_random_parameters(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            res = lo.stationarity_residuals(random_params(rng))
-            assert abs(res.drift) < 1e-9
-            assert abs(res.mixed) < 1e-9
-            assert abs(res.uncertainty) < 1e-9
-
-
 class TestRateBound:
     """The localization rate lam hbar^2 (sigma_q^2 / sq~^2)^2 of a packet
     of width sigma_q equals prefactor * m^3 sigma_q^4, with the prefactor

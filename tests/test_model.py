@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from dcollapse.constants import (COLLAPSE_RATE_BASE, HBAR,
                                  MOMENTUM_COUPLING_BASE, NUCLEON_MASS)
+from dcollapse.gaussian import a_closed_form
 from dcollapse.model import ModelParams, derive_constants, scale_parameters
+
+from reference_closed_forms import constants_80_digits
 
 
 def test_scale_parameters_reference_mass():
@@ -66,6 +70,66 @@ def test_stationary_width_is_riccati_fixed_point(p_nat, d_nat):
     a = d_nat.a_inf
     residual = -2j * hb * a * a / m - 4.0 * lam * al * a + lam
     assert abs(residual) < 1e-14
+
+
+def _oracle_sets():
+    """Parameter sets, by group, on which every derived constant is held to
+    the 80-digit trig route."""
+    rng = np.random.default_rng(31415)
+    spread = [ModelParams(mass=10.0 ** rng.uniform(-30.0, 3.0),
+                          collapse_rate=10.0 ** rng.uniform(-6.0, 2.0),
+                          momentum_coupling=10.0 ** rng.uniform(-20.0, 2.0),
+                          hbar=1.0) for _ in range(100)]
+    natural = dict(mass=1.0, momentum_coupling=0.5, hbar=1.0)
+    return {
+        "spread": [ModelParams(collapse_rate=0.1, **natural),
+                   scale_parameters(NUCLEON_MASS), *spread],
+        "si masses": [scale_parameters(10.0 ** e) for e in range(-27, 1, 3)],
+        # lam alpha^2 m / hbar up to 2.5e6, where cos theta - kappa cancels
+        "saturation": [ModelParams(mass=1.0, collapse_rate=0.1,
+                                   momentum_coupling=al, hbar=1.0)
+                       for al in (0.5, 5.0, 50.0, 500.0, 5000.0)],
+        # lam^2 is subnormal, then 0; at m = 1e-30, |a_inf|^2 is 0 too
+        "tiny rates": [*(ModelParams(collapse_rate=lam, **natural)
+                         for lam in (1e-160, 1e-300)),
+                       ModelParams(mass=1e-30, collapse_rate=1e-300,
+                                   momentum_coupling=0.5, hbar=1.0)],
+    }
+
+
+def _oracle_error(d, ref) -> float:
+    """Largest relative error of the fields of d against the 80-digit
+    constants ref, a_inf's real and imaginary parts each on its own."""
+    worst = 0.0
+    for f in dataclasses.fields(d):
+        got, want = getattr(d, f.name), getattr(ref, f.name)
+        pairs = ([(got.real, want.real), (got.imag, want.imag)]
+                 if f.name == "a_inf" else [(got, want)])
+        for g, w in pairs:
+            worst = max(worst, 0.0 if g == w else float(abs(g - w) / abs(w)))
+    return worst
+
+
+@pytest.mark.parametrize("group", list(_oracle_sets()))
+def test_constants_match_the_80_digit_trig_route(group):
+    # the trig route in double precision reads up to 8.9e-9 on "spread",
+    # 4.5e-2 on "saturation" (Im a_inf at alpha = 5000), 2.8e-6 at
+    # lam = 1e-160 and divides by zero at lam = 1e-300
+    worst = max(_oracle_error(derive_constants(p, boltzmann=1.0),
+                             constants_80_digits(p))
+                for p in _oracle_sets()[group])
+    print(f"{group}: worst relative error {worst:.2e}")
+    assert worst < 2e-15
+
+
+@pytest.mark.parametrize("al", [0.5, 50.0, 500.0, 5000.0])
+def test_width_law_relaxes_to_a_inf(al):
+    # 200 relaxation times on, tanh(mu t) = 1 and the law is its fixed point
+    p = ModelParams(mass=1.0, collapse_rate=0.1, momentum_coupling=al,
+                    hbar=1.0)
+    d = derive_constants(p, boltzmann=1.0)
+    a = a_closed_form(1.0 + 0.5j, 200.0 / d.omega1, p)
+    assert abs(a - d.a_inf) < 1e-12 * abs(d.a_inf)
 
 
 def test_omega1_equals_four_lambda_width(p_nat, d_nat):
