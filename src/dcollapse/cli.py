@@ -252,18 +252,15 @@ def cmd_master(args) -> int:
     c0 = me.coefficients_from_gaussian(cfg.initial_gaussian(), p)
     steps = record_steps(cfg.n_steps, cfg.record_every)
     times = np.asarray(steps, dtype=float) * cfg.dt
-    body = []
-    for t in times:
-        c = me.coeff_flow(c0, float(t), p)
-        mom = me.moments_from_coefficients(c, p)
-        body.append([t, c.c1, c.c2, c.c3, c.c4, c.c5, c.c6,
-                     mom.q_mean, mom.p_mean, mom.var_q, mom.var_p,
-                     mom.cov_qp, me.energy_from_coefficients(c, p),
-                     me.purity(c, p)])
+    c = me.coeff_flow(c0, times, p)
+    mom = me.moments_from_coefficients(c, p)
+    body = np.column_stack([
+        times, c.c1, c.c2, c.c3, c.c4, c.c5, np.full_like(times, c.c6),
+        mom.q_mean, mom.p_mean, mom.var_q, mom.var_p, mom.cov_qp,
+        me.energy_from_coefficients(c, p), me.purity(c, p)])
     cols = ["t", "c1", "c2", "c3", "c4", "c5", "c6", "q_mean", "p_mean",
             "var_q", "var_p", "cov_qp", "energy", "purity"]
-    path = _write_table(args, "master", "master-flow-v1", cols,
-                        np.asarray(body))
+    path = _write_table(args, "master", "master-flow-v1", cols, body)
     print(f"master coefficient flow written to {path}")
     return 0
 
@@ -331,6 +328,30 @@ def _ode_residual(f, terms, t, y0) -> float:
     return float(np.maximum(np.max(ode), np.max(start)))
 
 
+def _riccati_terms(a, p):  # free spreading, damping, collapse
+    lam = p.collapse_rate
+    return (-(2j * p.hbar / p.mass) * a * a,
+            -4.0 * lam * p.momentum_coupling * a, lam)
+
+
+def _contraction_gap(a, p):
+    """drift_prediction against the slope of sigma_O^2 along the width law
+    at the widths a, relative to the sizes of the slope's three terms."""
+    ar, ai, hb = a.real, a.imag, p.hbar
+    r = sum(_riccati_terms(a, p))
+    # the squared spreads' slopes; sigma_O^2 is affine in the spreads
+    dq = -r.real / (4.0 * ar * ar)
+    dp = hb * hb * (r.real * (1.0 - (ai / ar) ** 2) + 2.0 * ai * r.imag / ar)
+    dqp = hb * (ai * r.real / ar - r.imag) / (2.0 * ar)
+    slope = loc.sigma_O_sq(dq, dp, dqp, p) - loc.sigma_O_sq(0.0, 0.0, 0.0, p)
+    s = ge.spreads(a, p)
+    drift = loc.drift_prediction(s.sigma_q**2, s.sigma_p**2, s.sigma_qp_sq, p)
+    sq2, sp2, sqp2 = loc._bars(p)  # sigma_O^2's own coefficients
+    size = np.abs(dp) + (sp2 * np.abs(dq)
+                         + 2.0 * abs(sqp2) * np.abs(dqp)) / sq2
+    return _relative(np.abs(slope - drift), size)
+
+
 def _verify_checks(cfg) -> dict:
     """Run verify's checks in report order."""
     p = cfg.params()
@@ -341,7 +362,8 @@ def _verify_checks(cfg) -> dict:
 
     # the constants are the width law's fixed point: its right-hand side
     # vanishes at a_inf (each part relative to its real monomials' sizes),
-    # its slope there is omega1 + i omega2, and the bars are a_inf's spreads
+    # its slope there is omega1 + i omega2, whence omega, theta and kappa,
+    # the bars are a_inf's spreads, and the temperature is 2 energy_inf
     ar, ai = d.a_inf.real, d.a_inf.imag
     g, k = 4.0 * lam * al, 4.0 * hb / m
     bars = ge.spreads(d.a_inf, p)
@@ -354,6 +376,11 @@ def _verify_checks(cfg) -> dict:
         (bars.sigma_q - d.sigma_q_bar, d.sigma_q_bar),
         (bars.sigma_p - d.sigma_p_bar, d.sigma_p_bar),
         (bars.sigma_qp_sq - d.sigma_qp_bar_sq, abs(d.sigma_qp_bar_sq)),
+        (d.omega - math.hypot(d.omega1, d.omega2) / math.sqrt(2.0), d.omega),
+        (d.theta - math.atan2(d.omega2, d.omega1), abs(d.theta)),
+        (d.kappa - g / math.hypot(d.omega1, d.omega2), d.kappa),
+        # in reciprocals, which read 0 where both are inf (alpha = 0)
+        (1.0 / d.temperature - 0.5 / d.energy_inf, 1.0 / d.temperature),
     ]).T
     checks["stationary_identities"] = {
         "max_residual": float(np.max(_relative(np.abs(gaps), sizes))),
@@ -364,14 +391,10 @@ def _verify_checks(cfg) -> dict:
     a0 = (d.a_inf * rng.uniform(0.3, 3.0, size=32)
           + 1j * np.abs(d.a_inf) * rng.uniform(-0.5, 0.5, size=32))
     a0 = np.where(a0.real > 0, a0, a0 - 2 * a0.real)
-
-    def riccati_terms(a):  # free spreading, damping, collapse
-        return -(2j * hb / m) * a * a, -4.0 * lam * al * a, lam
-
     checks["width_closed_form"] = {
         "max_residual": _ode_residual(
-            lambda t: ge.a_closed_form(a0, t[:, None], p), riccati_terms,
-            t_grid, a0),
+            lambda t: ge.a_closed_form(a0, t[:, None], p),
+            lambda a: _riccati_terms(a, p), t_grid, a0),
         "tol": 1e-8,
     }
 
@@ -380,12 +403,10 @@ def _verify_checks(cfg) -> dict:
     # coefficients on the last axis
     starts = np.column_stack([rng.uniform(0.2, 2.0, size=(8, 3)),
                               rng.uniform(-1.0, 1.0, size=(8, 2))])
-    vectors = [me.CharCoefficients(*c0) for c0 in starts]
 
     def coefficients(t):
-        return np.array([[(c.c1, c.c2, c.c3, c.c4, c.c5) for c in
-                          (me.coeff_flow(v, float(ti), p) for v in vectors)]
-                         for ti in t])
+        c = me.coeff_flow(me.CharCoefficients(*starts.T), t[:, None], p)
+        return np.stack([c.c1, c.c2, c.c3, c.c4, c.c5], axis=-1)
 
     def coefficient_terms(y):
         _, c2, c3, _, c5 = np.moveaxis(y, -1, 0)
@@ -425,7 +446,7 @@ def _verify_checks(cfg) -> dict:
         "tol": 1e-6,
     }
 
-    gap = 0.0
+    gaps = []
     nucleon = scale_parameters(NUCLEON_MASS)
     d_nucleon = derive_constants(nucleon)
     for pe, de, g0 in ((p, d, cfg.initial_gaussian()),
@@ -436,52 +457,31 @@ def _verify_checks(cfg) -> dict:
         # u = 2 lam alpha t from the laboratory scale to saturation; without
         # damping the config's run time stands in for 1 / (2 lam alpha)
         scale = 1.0 / rate if rate > 0.0 else cfg.dt * cfg.n_steps
-        times = np.logspace(-20.0, math.log10(40.0), 16) * scale
-        for t in times:
-            flow = me.energy_from_coefficients(me.coeff_flow(c0, t, pe), pe)
-            gap = max(gap, abs(me.mean_energy(e0, t, pe) / flow - 1.0))
+        t = np.logspace(-20.0, math.log10(40.0), 16) * scale
+        flow = me.energy_from_coefficients(me.coeff_flow(c0, t, pe), pe)
+        gaps.append(me.mean_energy(e0, t, pe) / flow - 1.0)
         if math.isfinite(de.energy_inf):
-            saturated = me.mean_energy(e0, times[-1], pe)
-            gap = max(gap, abs(saturated / de.energy_inf - 1.0))
+            gaps.append(me.mean_energy(e0, t[-1], pe) / de.energy_inf - 1.0)
         # without momentum coupling the energy grows as e0 + lam hbar^2 t / 2m
         heat = dataclasses.replace(pe, momentum_coupling=0.0)
-        for t in times[::2]:
-            linear = e0 + pe.collapse_rate * pe.hbar**2 * t / (2.0 * pe.mass)
-            flow = me.energy_from_coefficients(me.coeff_flow(c0, t, heat), heat)
-            gap = max(gap, abs(flow / linear - 1.0),
-                      abs(me.mean_energy(e0, t, heat) / linear - 1.0))
-    checks["energy_relaxation"] = {"max_residual": float(gap), "tol": 1e-12}
+        t = t[::2]
+        linear = e0 + pe.collapse_rate * pe.hbar**2 * t / (2.0 * pe.mass)
+        flow = me.energy_from_coefficients(me.coeff_flow(c0, t, heat), heat)
+        gaps += [flow / linear - 1.0,
+                 me.mean_energy(e0, t, heat) / linear - 1.0]
+    # np.max, not max: a NaN gap must fail the check
+    checks["energy_relaxation"] = {
+        "max_residual": float(np.max(np.abs(np.hstack(gaps)))), "tol": 1e-12}
 
-    # the contraction law on the width check's flow: sigma_O^2 of the
-    # spreads of a_t drifts as drift_prediction of the same spreads, and
-    # vanishes at a_inf.  The offset leaves the slope alone and keeps
-    # sigma_O^2 ~ 0 on its own scale.  A width flow defect reads here too,
-    # at up to six times its width residual; it is width_closed_form's
-    offset = hb * hb / (2.0 * d.sigma_q_bar**2)
-
-    def moments(a):
-        s = ge.spreads(a, p)
-        return s.sigma_q**2, s.sigma_p**2, s.sigma_qp_sq
-
-    def contraction(t):
-        a = ge.a_closed_form(a0, t[:, None], p)
-        return np.stack([a, loc.sigma_O_sq(*moments(a), p) + offset], axis=-1)
-
-    def contraction_terms(y):
-        a = y[..., 0]
-        zero = np.zeros_like(a)
-        return (*(np.stack([x + zero, zero], axis=-1) for x in riccati_terms(a)),
-                np.stack([zero, loc.drift_prediction(*moments(a), p)], axis=-1))
-
-    # the start is the pure-state value 4 hbar^2 |a0 - a_inf|^2 sigma_q^2
-    start = np.stack([a0, hb * hb * np.abs(a0 - d.a_inf)**2 / a0.real + offset],
-                     axis=-1)
-    stationary = loc.sigma_O_sq(*moments(d.a_inf), p) / offset
+    # the contraction law, an identity in the width, at the width check's
+    # starts; sigma_O^2 of the bars vanishes, on its constant term's scale
+    at_rest = loc.sigma_O_sq(bars.sigma_q**2, bars.sigma_p**2,
+                             bars.sigma_qp_sq, p)
     checks["localization_drift"] = {
         "max_residual": float(np.maximum(
-            _ode_residual(contraction, contraction_terms, t_grid, start),
-            abs(stationary))),
-        "tol": 1e-5,
+            np.max(_contraction_gap(a0, p)),
+            abs(at_rest) / (hb * hb / (2.0 * d.sigma_q_bar**2)))),
+        "tol": 1e-9,
     }
 
     ver_cfg = cfg.replace(n_trajectories=256, n_steps=100, dt=0.01,

@@ -513,13 +513,10 @@ def compare_to_master(cfg: ExperimentConfig, summary: EnsembleSummary,
         "p_second": col("sigma_p_sq") + p_mean ** 2,
     }
     nv = q_mean.shape[1]
-    theory = {k: np.empty(len(summary.times)) for k in samples}
-    for i, t in enumerate(summary.times):
-        mom = moments_from_coefficients(coeff_flow(c0, float(t), p), p)
-        theory["q_mean"][i] = mom.q_mean
-        theory["p_mean"][i] = mom.p_mean
-        theory["q_second"][i] = mom.var_q + mom.q_mean**2
-        theory["p_second"][i] = mom.var_p + mom.p_mean**2
+    mom = moments_from_coefficients(coeff_flow(c0, summary.times, p), p)
+    theory = {"q_mean": mom.q_mean, "p_mean": mom.p_mean,
+              "q_second": mom.var_q + mom.q_mean**2,
+              "p_second": mom.var_p + mom.p_mean**2}
     z = {}
     for k, sample in samples.items():
         mu = sample.mean(axis=1)

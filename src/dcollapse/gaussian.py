@@ -140,7 +140,8 @@ def spreads(a, p: ModelParams):
     ar, ai = a.real, a.imag
     hb = p.hbar
     sq = 0.5 / np.sqrt(ar)
-    sp = hb * np.sqrt((ar * ar + ai * ai) / ar)
+    # |a|^2 / Re a without |a|^2, which underflows once |a| < 1e-154
+    sp = hb * np.sqrt(ar + ai * (ai / ar))
     sqp = -0.5 * hb * ai / ar
     if a.ndim == 0:
         return SpreadTriple(float(sq), float(sp), float(sqp))

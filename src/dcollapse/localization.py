@@ -22,9 +22,8 @@ first term contracts sigma_O^2 at the rate 4 lam sq~^2 = omega1 = Re r.
 
 On a single Gaussian the law is exact: its spreads are fixed functions of
 its width a, so E[sigma_O^2] is sigma_O^2 itself.  `dcollapse verify` holds
-the law there, as an ODE: sigma_O^2 of the spreads of the closed-form width
-flow must have drift_prediction of the same spreads as its slope, and
-vanish at a_inf.
+the law there, as an identity in a: sigma_O^2 of the spreads' slopes less
+sigma_O^2(0, 0, 0), its slope, must be drift_prediction of the spreads.
 """
 
 from __future__ import annotations

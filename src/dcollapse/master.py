@@ -95,7 +95,8 @@ def coefficients_from_gaussian(g: GaussianState, p: ModelParams) -> CharCoeffici
     return CharCoefficients(
         c1=1.0 / (8.0 * hb * hb * ar),
         c2=-ai / (2.0 * hb * ar),
-        c3=(ar * ar + ai * ai) / (2.0 * ar),
+        # |a|^2 / Re a without |a|^2, which underflows once |a| < 1e-154
+        c3=(ar + ai * (ai / ar)) / 2.0,
         c4=-g.xbar / hb,
         c5=-g.kbar,
         c6=0.0,
@@ -113,12 +114,12 @@ def moments_from_coefficients(c: CharCoefficients, p: ModelParams) -> StateMomen
     )
 
 
-def purity(c: CharCoefficients, p: ModelParams) -> float:
-    """Tr rho^2; equals 1 exactly for a pure Gaussian coefficient vector."""
+def purity(c: CharCoefficients, p: ModelParams):
+    """Tr rho^2, elementwise; equals 1 exactly for a pure Gaussian."""
     disc = 4.0 * c.c1 * c.c3 - c.c2 * c.c2
-    if disc <= 0.0:
+    if not np.all(disc > 0.0):
         raise ValueError("coefficient vector is not a physical state")
-    return 1.0 / (2.0 * p.hbar * math.sqrt(disc))
+    return 1.0 / (2.0 * p.hbar * np.sqrt(disc))
 
 
 def energy_from_coefficients(c: CharCoefficients, p: ModelParams) -> float:
@@ -145,8 +146,9 @@ def mean_energy(e0: float, t, p: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def coeff_flow(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficients:
-    """Closed-form coefficient vector after time t.
+def coeff_flow(c: CharCoefficients, t, p: ModelParams) -> CharCoefficients:
+    """Closed-form coefficient vector after time t.  t and c1..c5 broadcast
+    (c6 stays as given), and a scalar call has an array call's bits.
 
     With u = 2 lam alpha t, d = e^{-u} and g = t G(u) / m, every term is a
     product of well-scaled factors, one formula from the free shear
@@ -157,12 +159,12 @@ def coeff_flow(c: CharCoefficients, t: float, p: ModelParams) -> CharCoefficient
     """
     lam, al, m, hb = p.collapse_rate, p.momentum_coupling, p.mass, p.hbar
     u = 2.0 * lam * al * t
-    d = math.exp(-u)
+    d = np.exp(-u)
     gu = numerics.G(u)
     g = t * gu / m
     return CharCoefficients(
         c1=c.c1 + lam * al * al * t / (2.0 * hb * hb) + c.c2 * g
-        + c.c3 * g * g - lam * t**3 * numerics.K(u) / (4.0 * m * m),
+        + c.c3 * g * g - lam * t * t * t * numerics.K(u) / (4.0 * m * m),
         c2=c.c2 * d + 2.0 * c.c3 * g * d + lam * t * t * gu * gu / (2.0 * m),
         c3=c.c3 * d * d + lam * t * numerics.G(2.0 * u) / 2.0,
         c4=c.c4 + c.c5 * g,

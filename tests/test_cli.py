@@ -15,7 +15,7 @@ from dcollapse import cli
 from dcollapse.constants import NUCLEON_MASS
 from dcollapse.ensemble import ExperimentConfig, run_ensemble
 from dcollapse.grid import RECORD_FIELDS
-from dcollapse.model import derive_constants, scale_parameters
+from dcollapse.model import ModelParams, derive_constants, scale_parameters
 
 from conftest import write_config
 from reference_closed_forms import constants_80_digits
@@ -153,6 +153,26 @@ class TestConstants:
             assert abs(float(got) - want) < 2e-15 * abs(want)
         _, _, body = read_csv(str(tmp_path / "gaussian.csv"))
         assert np.all(np.isfinite(body))
+
+    def test_tiny_width_keeps_its_momentum_spread(self, tmp_path):
+        # |a_inf| = 7e-166 here, so |a|^2 underflows; sigma_p and var_p
+        # must not, and the start is a pure state
+        path = tmp_path / "tiny.cfg"
+        path.write_text("collapse_rate = 1e-300\nmass = 1e-30\n")
+        for command in ("gaussian", "master"):
+            rc = cli.main([command, "--config", str(path),
+                           "--out", str(tmp_path)])
+            assert rc == 0
+        d = derive_constants(ExperimentConfig(
+            collapse_rate=1e-300, mass=1e-30).params(), boltzmann=1.0)
+        _, header, body = read_csv(str(tmp_path / "gaussian.csv"))
+        assert body[:, header.index("sigma_p")] == pytest.approx(
+            d.sigma_p_bar, rel=1e-14, abs=0.0)
+        _, header, body = read_csv(str(tmp_path / "master.csv"))
+        assert body[:, header.index("var_p")] == pytest.approx(
+            d.sigma_p_bar**2, rel=1e-14, abs=0.0)
+        assert body[:, header.index("purity")] == pytest.approx(
+            1.0, rel=1e-14)
 
 
 class TestTables:
@@ -744,8 +764,9 @@ class TestVerify:
         return ["--config", str(path)]
 
     def test_usual_model_passes(self, tmp_path, capsys):
-        # coeff_flow's undamped branch and the contraction law are held to
-        # their ODEs, not to themselves: both residuals are rounding, not 0
+        # coeff_flow's undamped branch is held to its ODE and the
+        # contraction law to an identity in the width, not to themselves:
+        # both residuals are rounding, not 0
         rc = cli.main(["verify", "--out", str(tmp_path),
                        *self._usual_model(tmp_path)])
         assert rc == 0
@@ -776,12 +797,15 @@ class TestVerify:
         monkeypatch.setattr(cli, "derive_constants", scaled)
 
     @pytest.mark.parametrize("field, k", [
-        ("omega1", 1e-6), ("omega2", 1e-6), ("sigma_qp_bar_sq", 1e-6)])
+        ("omega1", 1e-6), ("omega2", 1e-6), ("sigma_qp_bar_sq", 1e-6),
+        ("omega", 1e-6), ("theta", 1e-6), ("kappa", 1e-6),
+        ("temperature", 1e-6)])
     def test_scaled_constant_fails_only_the_stationary_check(
             self, tmp_path, capsys, monkeypatch, field, k):
         # the constants are the width law's fixed point: a_inf zeroes its
-        # right-hand side, omega1 + i omega2 is its slope there, and the
-        # bars are the spreads of a_inf
+        # right-hand side, omega1 + i omega2 is its slope there, the bars
+        # are the spreads of a_inf, and omega, theta, kappa and the
+        # temperature follow from them
         self._patch_constant(monkeypatch, field, k)
         self._fails_only("stationary_identities", tmp_path, capsys)
 
@@ -816,6 +840,10 @@ class TestVerify:
         monkeypatch.setattr(cli.ge, "a_closed_form",
                             lambda a0, t, p: exact(a0, t, p) * (1.0 + 1e-7))
         self._fails_only("width_closed_form", tmp_path, capsys)
+        # the contraction law is held on the width itself, not on its flow
+        with open(tmp_path / "verify.json") as f:
+            check = json.load(f)["checks"]["localization_drift"]
+        assert check["max_residual"] < 1e-13
 
     def test_scaled_covariance_fails_only_its_check(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -869,6 +897,46 @@ class TestVerify:
         monkeypatch.setattr(cli.loc, "drift_prediction",
                             lambda *args: 0.5 * exact(*args))
         self._fails_only("localization_drift", tmp_path, capsys)
+
+    def test_small_drift_defect_fails_only_the_localization_check(
+            self, tmp_path, capsys, monkeypatch):
+        # the law off by two parts in 1e9, twice the tolerance
+        exact = cli.loc.drift_prediction
+        monkeypatch.setattr(cli.loc, "drift_prediction",
+                            lambda *args: exact(*args) * (1.0 + 2e-9))
+        self._fails_only("localization_drift", tmp_path, capsys)
+
+    def test_small_sigma_O_defect_fails_only_the_localization_check(
+            self, tmp_path, capsys, monkeypatch):
+        # sigma_O^2's sigma_q^2 coefficient sp~^2 / sq~^2 off by one part
+        # in 1e8; drift_prediction reads sigma_O^2 too, but its slope moves
+        # by more
+        exact = cli.loc.sigma_O_sq
+
+        def defect(q2, p2, qp2, p):
+            d = derive_constants(p, boltzmann=1.0)
+            k = 1e-8 * (d.sigma_p_bar / d.sigma_q_bar) ** 2
+            return exact(q2, p2, qp2, p) + k * np.asarray(q2)
+
+        monkeypatch.setattr(cli.loc, "sigma_O_sq", defect)
+        self._fails_only("localization_drift", tmp_path, capsys)
+
+    @pytest.mark.parametrize("m, lam, al, hb", [
+        (1.0, 0.1, 0.5, 1.0), (1.0, 0.1, 0.0, 1.0), (1.0, 1.0, 2.0, 1.0),
+        (1.0, 1e-4, 0.5, 1.0), (50.0, 0.3, 0.05, 1.0), (2.0, 0.1, 0.5, 0.1),
+        (1.0, 0.1, 50.0, 1.0), (1.0, 0.1, 5000.0, 1.0)])
+    def test_contraction_identity_holds_across_parameters(self, m, lam, al,
+                                                          hb):
+        # verify's widths: its starts around a_inf on a few seeds
+        p = ModelParams(mass=m, collapse_rate=lam, momentum_coupling=al,
+                        hbar=hb)
+        a_inf = derive_constants(p, boltzmann=1.0).a_inf
+        for seed in (1, 2, 3, 2025):
+            rng = np.random.default_rng(seed)
+            a = (a_inf * rng.uniform(0.3, 3.0, size=32)
+                 + 1j * abs(a_inf) * rng.uniform(-0.5, 0.5, size=32))
+            a = np.where(a.real > 0, a, a - 2 * a.real)
+            assert np.max(cli._contraction_gap(a, p)) < 1e-12
 
     def test_dropped_offset_fails_only_the_localization_check(
             self, tmp_path, capsys, monkeypatch):

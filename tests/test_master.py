@@ -34,6 +34,10 @@ def flow_rhs(p):
     return f
 
 
+# the coefficients that move with time; c6 stays as given, a scalar
+MOVING = ("c1", "c2", "c3", "c4", "c5")
+
+
 def as_vec(c):
     return np.array([c.c1, c.c2, c.c3, c.c4, c.c5, c.c6])
 
@@ -124,6 +128,18 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             ms.purity(bad, p_nat)
 
+    def test_purity_rejects_any_unphysical_entry(self, p_nat):
+        # one bad entry among physical ones, or a NaN, is refused
+        # 4 c1 c3 = 1/4, 1/2 and 1 at hbar = 1: purity 1, 1/sqrt(2), 1/2
+        good = ms.CharCoefficients(c1=np.array([0.125, 0.25, 0.5]),
+                                   c2=np.zeros(3), c3=np.full(3, 0.5),
+                                   c4=0.0, c5=0.0)
+        assert ms.purity(good, dataclasses.replace(p_nat, hbar=1.0)) \
+            == pytest.approx([1.0, math.sqrt(0.5), 0.5], rel=1e-15)
+        for c2 in (np.array([0.0, 2.0, 0.0]), np.array([0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                ms.purity(dataclasses.replace(good, c2=c2), p_nat)
+
     def test_energy_agrees_with_state_energy(self, g0, c0, p_nat):
         # <p^2>/2m of the state: its mean momentum and its spread
         want = ((p_nat.hbar * g0.kbar) ** 2 + spreads(g0.a, p_nat).sigma_p ** 2) \
@@ -133,6 +149,39 @@ class TestCoefficients:
 
 
 class TestCoeffFlow:
+    @pytest.mark.parametrize("params", ["natural", "usual", "free", "si"])
+    def test_time_axis_matches_scalar_calls(self, params, c0, p_nat, g_si,
+                                            p_si):
+        p, c = {"natural": (p_nat, c0),
+                "usual": (dataclasses.replace(p_nat, momentum_coupling=0.0),
+                          c0),
+                "free": (dataclasses.replace(p_nat, collapse_rate=0.0), c0),
+                "si": (p_si, ms.coefficients_from_gaussian(g_si, p_si))}[params]
+        times = np.concatenate([[0.0], np.logspace(-20.0, 2.0, 23)])
+        if params == "si":
+            times = times * 1e-3
+        flow = ms.coeff_flow(c, times, p)
+        for i, t in enumerate(times):
+            want = ms.coeff_flow(c, float(t), p)
+            assert [getattr(flow, f)[i] for f in MOVING] \
+                == [getattr(want, f) for f in MOVING]
+
+    def test_broadcasts_vectors_against_times(self, p_nat):
+        rng = np.random.default_rng(5)
+        starts = np.column_stack([rng.uniform(0.2, 2.0, size=(8, 3)),
+                                  rng.uniform(-1.0, 1.0, size=(8, 2))])
+        times = np.linspace(0.0, 4.0, 5)
+        flow = ms.coeff_flow(ms.CharCoefficients(*starts.T), times[:, None],
+                             p_nat)
+        for f in MOVING:
+            assert getattr(flow, f).shape == (5, 8)
+        for j, row in enumerate(starts):
+            for i, t in enumerate(times):
+                want = ms.coeff_flow(ms.CharCoefficients(*row), float(t),
+                                     p_nat)
+                assert [getattr(flow, f)[i, j] for f in MOVING] \
+                    == [getattr(want, f) for f in MOVING]
+
     def test_matches_ode_oracle(self, c0, p_nat):
         t_grid = np.linspace(0.0, 6.0, 13)
         path = rk4_path(flow_rhs(p_nat), as_vec(c0), t_grid, substeps=50)
